@@ -22,7 +22,7 @@ import numpy as np
 
 from .group import GroupConfig, GroupElement
 from .poly import Polynomial
-from .fock import FockTensor
+from .fock import FockTensor, taylor
 
 __all__ = [
     "MCParams",
@@ -125,11 +125,6 @@ class GroupPath:
         return GroupElement(self.config, self.W[-1], self.C[-1])
 
 
-def _philox_uniforms(seed: int, path_index: int, shape: tuple) -> np.ndarray:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(path_index)], np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).random(shape)
-
-
 def _box_muller(u: np.ndarray) -> np.ndarray:
     """Standard complex Gaussians (E|z|^2 = 2) from uniform pairs u[..., 0:2]."""
     r = np.sqrt(-2.0 * np.log1p(-u[..., 0]))  # 1-u in (0,1] avoids log(0)
@@ -203,38 +198,6 @@ def _batch_ranges(paths: int):
     return [(s, min(BATCH, paths - s)) for s in range(0, paths, BATCH)]
 
 
-def _reduce_samples(params: MCParams, workers: int, batch_fn):
-    """Run batch_fn(start, count) -> (count, nvals) complex samples over fixed
-    batches (optionally in a thread pool) and combine partial sums in batch
-    order: sums, absolute squares, and conjugate cross-products."""
-    ranges = _batch_ranges(params.paths)
-
-    def partial(args):
-        start, count = args
-        x = batch_fn(start, count)
-        return (
-            x.sum(axis=0),
-            (np.abs(x) ** 2).sum(axis=0),
-            np.einsum("pi,pj->ij", x, x.conj()),
-        )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(partial, ranges))
-    else:
-        partials = [partial(r) for r in ranges]
-
-    nvals = partials[0][0].shape[0]
-    s1 = _Kahan(np.zeros(nvals, complex))
-    s2 = _Kahan(np.zeros(nvals, float))
-    cross = _Kahan(np.zeros((nvals, nvals), complex))
-    for p1, p2, pc in partials:
-        s1.add(p1)
-        s2.add(p2)
-        cross.add(pc)
-    return s1.total, s2.total, cross.total
-
-
 def _estimate(sum1: complex, sum2: float, n: int) -> MCEstimate:
     mean = sum1 / n
     if n > 1:
@@ -244,15 +207,33 @@ def _estimate(sum1: complex, sum2: float, n: int) -> MCEstimate:
     return MCEstimate(mean=complex(mean), stderr=math.sqrt(var / n), paths=n)
 
 
+def _sample_means(params: MCParams, workers: int, batch_fn) -> list[MCEstimate]:
+    """Run batch_fn(start, count) -> (count, ncols) complex samples over fixed
+    batches (optionally in a thread pool), combine the column sums and
+    absolute squares in batch order, and return one estimate per column."""
+    ranges = _batch_ranges(params.paths)
+
+    def partial(args):
+        x = batch_fn(*args)
+        return x.sum(axis=0), (np.abs(x) ** 2).sum(axis=0)
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            partials = list(pool.map(partial, ranges))
+    else:
+        partials = [partial(r) for r in ranges]
+
+    s1 = _Kahan(np.zeros_like(partials[0][0]))
+    s2 = _Kahan(np.zeros_like(partials[0][1]))
+    for p1, p2 in partials:
+        s1.add(p1)
+        s2.add(p2)
+    return [_estimate(a, b, params.paths) for a, b in zip(s1.total, s2.total)]
+
+
 def heat_mc(config: GroupConfig, f: Polynomial, params: MCParams, workers: int = 1) -> MCEstimate:
     """Sample mean of f(g(T)) under the group Brownian motion."""
-
-    def batch(start, count):
-        W, C = _terminal_batch(config, params, start, count)
-        return f.eval_batch(W, C)[:, None]
-
-    s1, s2, _ = _reduce_samples(params, workers, batch)
-    return _estimate(s1[0], s2[0], params.paths)
+    return heat_sweep(config, [f], params, workers)[0]
 
 
 def _translate(config: GroupConfig, h: GroupElement, W: np.ndarray, C: np.ndarray):
@@ -270,14 +251,7 @@ def skeleton_mc(
     workers: int = 1,
 ) -> MCEstimate:
     """Sample mean of f(h . g(T)); for holomorphic f this reproduces f(h)."""
-
-    def batch(start, count):
-        W, C = _terminal_batch(config, params, start, count)
-        Wt, Ct = _translate(config, h, W, C)
-        return f.eval_batch(Wt, Ct)[:, None]
-
-    s1, s2, _ = _reduce_samples(params, workers, batch)
-    return _estimate(s1[0], s2[0], params.paths)
+    return skeleton_sweep(config, [(f, h)], params, workers)[0]
 
 
 def heat_sweep(
@@ -289,8 +263,7 @@ def heat_sweep(
         W, C = _terminal_batch(config, params, start, count)
         return np.stack([f.eval_batch(W, C) for f in polys], axis=1)
 
-    s1, s2, _ = _reduce_samples(params, workers, batch)
-    return [_estimate(s1[i], s2[i], params.paths) for i in range(len(polys))]
+    return _sample_means(params, workers, batch)
 
 
 def skeleton_sweep(
@@ -309,8 +282,7 @@ def skeleton_sweep(
             cols.append(f.eval_batch(Wt, Ct))
         return np.stack(cols, axis=1)
 
-    s1, s2, _ = _reduce_samples(params, workers, batch)
-    return [_estimate(s1[i], s2[i], params.paths) for i in range(len(cases))]
+    return _sample_means(params, workers, batch)
 
 
 def heat_mc_grid(
@@ -342,9 +314,7 @@ def heat_mc_grid(
         C[:, 1:] += 0.5 * np.cumsum(area, axis=1)
         return np.stack([f.eval_batch(B[:, i], C[:, i]) for i in idx], axis=1)
 
-    s1, s2, _ = _reduce_samples(params, workers, batch)
-    times = idx * params.dt
-    return times, [_estimate(s1[i], s2[i], params.paths) for i in range(len(idx))]
+    return idx * params.dt, _sample_means(params, workers, batch)
 
 
 def iterated_integrals(config: GroupConfig, b: BrownianPath, nmax: int) -> list[np.ndarray]:
@@ -380,29 +350,18 @@ def chaos_eval(alpha: FockTensor, b: BrownianPath) -> complex:
     return total
 
 
-def _iterated_batch(config: GroupConfig, params: MCParams, start: int, count: int, nmax: int):
-    """Batched terminal values: increments, M_1..M_nmax, and group (W, C)."""
-    inc = _increment_batch(config, params, start, count)
-    n, k = config.n, config.k
+def _iterated_batch(inc: np.ndarray, nmax: int) -> list[np.ndarray]:
+    """Batched terminal M_0..M_nmax from increments of shape (count, steps, n)."""
+    count, steps, n = inc.shape
     Ms = [np.ones((count,), complex)]
     for r in range(1, nmax + 1):
         Ms.append(np.zeros((count,) + (n,) * r, complex))
-    for s in range(params.steps):
+    for s in range(steps):
         db = inc[:, s, :]
         for r in range(nmax, 1, -1):
             Ms[r] += np.einsum("p...,pj->p...j", Ms[r - 1], db)
         Ms[1] += db
-    B_T = Ms[1][:, :k]
-    # the area sum is the antisymmetric omega-contraction of M_2
-    if nmax >= 2:
-        M2w = Ms[2][:, :k, :k]
-        area = np.einsum("mij,pij->pm", config.omega, M2w)
-    else:
-        Bcum = np.cumsum(inc[:, :, :k], axis=1)
-        Bprev = np.concatenate([np.zeros((count, 1, k), complex), Bcum[:, :-1]], axis=1)
-        area = np.einsum("psi,mij,psj->pm", Bprev, config.omega, inc[:, :, :k])
-    C_T = Ms[1][:, k:] + 0.5 * area
-    return Ms, B_T, C_T
+    return Ms
 
 
 def _pair_batch(alpha: FockTensor, Ms: list[np.ndarray]) -> np.ndarray:
@@ -425,26 +384,22 @@ def chaos_isometry_mc(
 ):
     """MC moments of the pairings X_i = <alpha_i, M(T)> on shared paths.
 
-    Returns (estimates, cross, cross_stderr): per-tensor MCEstimates of
-    |X_i|^2, plus the empirical covariance matrix E[X_i conj(X_j)] with a
-    stderr scale for testing cross-rank orthogonality.
+    Returns (estimates, cov, cross_stderr): per-tensor MCEstimates of
+    |X_i|^2, plus the sample means of X_i conj(X_j) and their sample standard
+    errors, for testing cross-rank orthogonality.
     """
     L = len(alphas)
     nmax = max(max(a.nonzero_maxrank() for a in alphas), 1)
 
     def batch(start, count):
-        Ms, _, _ = _iterated_batch(config, params, start, count, nmax)
+        Ms = _iterated_batch(_increment_batch(config, params, start, count), nmax)
         x = np.stack([_pair_batch(a, Ms) for a in alphas], axis=1)
-        return np.concatenate([x, (np.abs(x) ** 2).astype(complex)], axis=1)
+        return (x[:, :, None] * x.conj()[:, None, :]).reshape(count, L * L)
 
-    s1, s2, cross = _reduce_samples(params, workers, batch)
-    n = params.paths
-    estimates = [_estimate(s1[L + i], s2[L + i], n) for i in range(L)]
-    pair_block = cross[:L, :L]
-    cov = pair_block / n
-    rms = np.sqrt(np.diag(pair_block).real / n)
-    cross_stderr = np.outer(rms, rms) / math.sqrt(n)
-    return estimates, cov, cross_stderr
+    ests = _sample_means(params, workers, batch)
+    cov = np.array([e.mean for e in ests]).reshape(L, L)
+    cross_stderr = np.array([e.stderr for e in ests]).reshape(L, L)
+    return ests[:: L + 1], cov, cross_stderr
 
 
 def chaos_residual(
@@ -452,19 +407,19 @@ def chaos_residual(
 ) -> MCEstimate:
     """Mean-square gap E|f(g(T)) - sum_n <alpha_n, M_n(T)>|^2 with both terms
     on the same path. Vanishes at O(dt) as the grid refines."""
-    from .fock import taylor
-
     alpha = taylor(f)
-    nmax = max(alpha.nonzero_maxrank(), 1)
+    nmax = max(alpha.nonzero_maxrank(), 2)
+    k = config.k
 
     def batch(start, count):
-        Ms, W, C = _iterated_batch(config, params, start, count, nmax)
-        direct = f.eval_batch(W, C)
+        Ms = _iterated_batch(_increment_batch(config, params, start, count), nmax)
+        # the area sum is the antisymmetric omega-contraction of M_2
+        area = np.einsum("mij,pij->pm", config.omega, Ms[2][:, :k, :k])
+        direct = f.eval_batch(Ms[1][:, :k], Ms[1][:, k:] + 0.5 * area)
         paired = _pair_batch(alpha, Ms)
         return (np.abs(direct - paired) ** 2).astype(complex)[:, None]
 
-    s1, s2, _ = _reduce_samples(params, workers, batch)
-    return _estimate(s1[0], s2[0], params.paths)
+    return _sample_means(params, workers, batch)[0]
 
 
 def lp_norm_mc(
@@ -478,8 +433,7 @@ def lp_norm_mc(
         W, C = _terminal_batch(config, params, start, count)
         return (np.abs(f.eval_batch(W, C)) ** p).astype(complex)[:, None]
 
-    s1, s2, _ = _reduce_samples(params, workers, batch)
-    return _estimate(s1[0], s2[0], params.paths)
+    return _sample_means(params, workers, batch)[0]
 
 
 def gaussian_moment_check(
@@ -505,12 +459,10 @@ def gaussian_moment_check(
             axis=1,
         )
 
-    s1, s2, _ = _reduce_samples(params, workers, batch)
     names = ["exp_mean", "re_sq", "im_sq", "abs_sq"]
     targets = [1.0, T * norm_sq / 2.0, T * norm_sq / 2.0, T * norm_sq]
     rows = []
-    for i, (name, target) in enumerate(zip(names, targets)):
-        est = _estimate(s1[i], s2[i], params.paths)
+    for name, target, est in zip(names, targets, _sample_means(params, workers, batch)):
         rows.append(
             {
                 "moment": name,

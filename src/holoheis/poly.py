@@ -360,6 +360,9 @@ def parse_poly(config: GroupConfig, text: str) -> Polynomial:
         while i < total and tokens[i].group("op") == "*":
             factor, i = parse_factor(i + 1)
             term = term * factor
+        if i < total and tokens[i].group("op") not in ("+", "-"):
+            got = tokens[i].group(0).strip()
+            raise ValueError(f"expected '+', '-' or end after a term, got {got!r}")
         result = result + sign * term
     return result
 

@@ -52,9 +52,10 @@ def test_missing_omega_exits_2(tmp_path, capsys):
 
 
 def test_bad_poly_exits_2(capsys):
-    code, _, err = run(capsys, ["taylor", "--poly", "q9 + w1"])
-    assert code == 2
-    assert err.startswith("error:")
+    for text in ["q9 + w1", "3 c1"]:
+        code, _, err = run(capsys, ["taylor", "--poly", text])
+        assert code == 2, text
+        assert err.startswith("error:")
 
 
 def test_bad_point_exits_2(capsys):

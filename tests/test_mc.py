@@ -137,10 +137,12 @@ def test_chaos_eval_exact_for_central_coordinate():
 
 
 def test_chaos_residual_c1_is_zero():
-    # the discrete pairing telescopes to the discrete area sum exactly
+    # the discrete pairing telescopes to the discrete area sum exactly; an
+    # affine f has a Taylor tensor that stops at rank 1
     cfg = heis()
-    res = mc.chaos_residual(cfg, parse_poly(cfg, "c1"), mc.MCParams(1.0, 128, 2000, 10))
-    assert res.mean.real <= 1e-20
+    for text in ["c1", "w1 + 2*w2 + 1"]:
+        res = mc.chaos_residual(cfg, parse_poly(cfg, text), mc.MCParams(1.0, 128, 2000, 10))
+        assert res.mean.real <= 1e-20, text
 
 
 def test_chaos_residual_halves_with_step_doubling():
@@ -163,6 +165,37 @@ def test_chaos_isometry_targets():
     ests, cov, cstd = mc.chaos_isometry_mc(cfg, [alpha2], params)
     target = params.T**2 / 2 * alpha2.rank_norm_sq(2)
     assert ests[0].within(target)
+
+
+def test_chaos_isometry_cross_moments_match_reference_paths(monkeypatch):
+    # dependent pairings: the tensors share indices, so X_i conj(X_j) must be
+    # judged by its own sample spread; small batches make the worker counts
+    # split the paths differently
+    monkeypatch.setattr(mc, "BATCH", 64)
+    cfg = heis()
+    alphas = [
+        FockTensor(cfg, [dict(), {(0,): 1.0, (1,): -0.5j}]),
+        FockTensor(cfg, [dict(), dict(), {(0, 0): 1.0, (0, 1): 0.7 - 0.2j}]),
+        FockTensor(cfg, [dict(), dict(), dict(), {(0, 0, 0): 0.8j, (0, 1, 0): 1.0}]),
+    ]
+    params = mc.MCParams(T=1.0, steps=32, paths=300, seed=15)
+    x = np.array(
+        [[mc.chaos_eval(a, mc.sample_path(cfg, params, p)) for a in alphas]
+         for p in range(params.paths)]
+    )
+    prods = x[:, :, None] * x.conj()[:, None, :]
+    ref_mean = prods.mean(axis=0)
+    ref_stderr = np.sqrt(
+        (np.abs(prods - ref_mean) ** 2).sum(axis=0) / (params.paths - 1) / params.paths
+    )
+    ests, cov, cstd = mc.chaos_isometry_mc(cfg, alphas, params, workers=1)
+    assert np.allclose(cov, ref_mean, rtol=1e-9, atol=0.0)
+    assert np.allclose(cstd, ref_stderr, rtol=1e-9, atol=0.0)
+    for i, est in enumerate(ests):
+        assert est.mean == cov[i, i] and est.stderr == cstd[i, i]
+    again = mc.chaos_isometry_mc(cfg, alphas, params, workers=3)
+    assert [(e.mean, e.stderr) for e in ests] == [(e.mean, e.stderr) for e in again[0]]
+    assert np.array_equal(cov, again[1]) and np.array_equal(cstd, again[2])
 
 
 def test_gaussian_moment_check_rows():

@@ -41,6 +41,10 @@ def test_parse_rejects_garbage():
         parse_poly(cfg, "w1 +* w2")
     with pytest.raises(ValueError):
         parse_poly(cfg, "w9")
+    # two factors with no operator between them
+    for text in ["2i", "2i*w1", "3 c1", "w1 w2"]:
+        with pytest.raises(ValueError, match=r"got '(i|c1|w2)'"):
+            parse_poly(cfg, text)
 
 
 def test_arithmetic_matches_pointwise():
