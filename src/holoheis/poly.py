@@ -13,6 +13,7 @@ lowers it by 2, which is what makes the heat expectation a finite sum.
 from __future__ import annotations
 
 import math
+import operator
 import re
 
 import numpy as np
@@ -38,26 +39,39 @@ DEGREE_CAP = 16
 CLEANUP_TOL = 1e-14
 
 
+def _clean_terms(terms: dict | None) -> dict:
+    """Coefficients as complex, with those at or below CLEANUP_TOL dropped."""
+    if not terms:
+        return {}
+    return {
+        key: z for key, coeff in terms.items() if abs(z := complex(coeff)) > CLEANUP_TOL
+    }
+
+
 class Polynomial:
     """Sparse map from exponent vectors (tuples of length 2(k+d)) to complex."""
 
     __slots__ = ("config", "terms")
 
     def __init__(self, config: GroupConfig, terms: dict | None = None) -> None:
-        clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                z = complex(coeff)
-                if abs(z) > CLEANUP_TOL:
-                    clean[key] = z
         self.config = config
-        self.terms = clean
-        if clean:
+        self.terms = _clean_terms(terms)
+        if self.terms:
             deg = self.graded_degree()
             if deg > DEGREE_CAP:
                 raise ValueError(
                     f"polynomial graded degree {deg} exceeds cap {DEGREE_CAP}"
                 )
+
+    @classmethod
+    def _bounded(cls, config: GroupConfig, terms: dict) -> "Polynomial":
+        """Build a result whose graded degree cannot exceed an operand's
+        (sum, negation, scalar multiple, conjugate, derivative), so the cap
+        check that dominates construction time is skipped."""
+        out = cls.__new__(cls)
+        out.config = config
+        out.terms = _clean_terms(terms)
+        return out
 
     # -- constructors ---------------------------------------------------------
 
@@ -116,7 +130,7 @@ class Polynomial:
             return 0
         k, d = self.config.k, self.config.d
         weights = ([1] * k + [2] * d) * 2
-        return max(sum(e * wt for e, wt in zip(key, weights)) for key in self.terms)
+        return max(sum(map(operator.mul, key, weights)) for key in self.terms)
 
     # -- ring operations --------------------------------------------------------
 
@@ -135,12 +149,13 @@ class Polynomial:
         out = dict(self.terms)
         for key, coeff in other.terms.items():
             out[key] = out.get(key, 0j) + coeff
-        return Polynomial(self.config, out)
+        return Polynomial._bounded(self.config, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.config, {k: -v for k, v in self.terms.items()})
+        negated = {k: -v for k, v in self.terms.items()}
+        return Polynomial._bounded(self.config, negated)
 
     def __sub__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -153,12 +168,13 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
             z = complex(other)
-            return Polynomial(self.config, {k: z * v for k, v in self.terms.items()})
+            scaled = {k: z * v for k, v in self.terms.items()}
+            return Polynomial._bounded(self.config, scaled)
         self._require_same_config(other)
         out: dict = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
+                key = tuple(map(operator.add, k1, k2))
                 out[key] = out.get(key, 0j) + v1 * v2
         return Polynomial(self.config, out)
 
@@ -185,7 +201,7 @@ class Polynomial:
         out = {}
         for key, coeff in self.terms.items():
             out[key[n:] + key[:n]] = coeff.conjugate()
-        return Polynomial(self.config, out)
+        return Polynomial._bounded(self.config, out)
 
     def abs_sq(self) -> "Polynomial":
         """|f|^2 = f * conj(f) as a polynomial in all four blocks."""
@@ -199,8 +215,9 @@ class Polynomial:
             if e:
                 new = list(key)
                 new[index] = e - 1
-                out[tuple(new)] = out.get(tuple(new), 0j) + e * coeff
-        return Polynomial(self.config, out)
+                new = tuple(new)
+                out[new] = out.get(new, 0j) + e * coeff
+        return Polynomial._bounded(self.config, out)
 
     # -- evaluation --------------------------------------------------------------
 
@@ -381,9 +398,10 @@ def lid(f: Polynomial, h: GroupElement) -> Polynomial:
     cfg = f.config
     k, d, n = cfg.k, cfg.d, cfg.n
     out = Polynomial.zero(cfg)
-    A, a = h.w, h.c
+    # Python scalars: numpy scalar arithmetic and comparisons cost more per call.
+    A, a = h.w.tolist(), h.c.tolist()
     # omega(w, A)_m = sum_i (Omega_m A)_i w_i
-    OmA = np.einsum("mij,j->mi", cfg.omega, A)
+    OmA = np.einsum("mij,j->mi", cfg.omega, h.w).tolist()
     for j in range(k):
         if A[j] != 0:
             df = f.partial(j)
@@ -398,15 +416,15 @@ def lid(f: Polynomial, h: GroupElement) -> Polynomial:
         if not df.is_zero():
             v = Polynomial.constant(cfg, a[m])
             for i in range(k):
-                if OmA[m, i] != 0:
-                    v = v + 0.5 * OmA[m, i] * Polynomial.coordinate(cfg, i)
+                if OmA[m][i] != 0:
+                    v = v + 0.5 * OmA[m][i] * Polynomial.coordinate(cfg, i)
             out = out + v * df
         df = f.partial(n + k + m)
         if not df.is_zero():
             vbar = Polynomial.constant(cfg, a[m].conjugate())
             for i in range(k):
-                if OmA[m, i].conjugate() != 0:
-                    vbar = vbar + 0.5 * OmA[m, i].conjugate() * Polynomial.coordinate(
+                if OmA[m][i].conjugate() != 0:
+                    vbar = vbar + 0.5 * OmA[m][i].conjugate() * Polynomial.coordinate(
                         cfg, n + i
                     )
             out = out + vbar * df
