@@ -125,28 +125,55 @@ class GroupPath:
         return GroupElement(self.config, self.W[-1], self.C[-1])
 
 
-def _box_muller(u: np.ndarray) -> np.ndarray:
-    """Standard complex Gaussians (E|z|^2 = 2) from uniform pairs u[..., 0:2]."""
-    r = np.sqrt(-2.0 * np.log1p(-u[..., 0]))  # 1-u in (0,1] avoids log(0)
-    return r * np.exp(2j * np.pi * u[..., 1])
+def _box_muller(u: np.ndarray, scale: float) -> np.ndarray:
+    """scale * z for standard complex Gaussians z (E|z|^2 = 2) from uniform
+    pairs u[..., 0:2].
+
+    cos and sin are written straight into the real and imaginary parts, then
+    multiplied by r and only after that by the scale: bit for bit
+    scale * (r * exp(2j*pi*u1)) without the complex temporaries.
+    """
+    r = np.log1p(-u[..., 0])  # 1-u in (0,1] avoids log(0)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = 2.0 * np.pi * u[..., 1]
+    z = np.empty(r.shape, complex)
+    np.cos(theta, out=z.real)
+    np.sin(theta, out=z.imag)
+    z.real *= r
+    z.imag *= r
+    z *= scale
+    return z
 
 
 def _increment_batch(config: GroupConfig, params: MCParams, start: int, count: int) -> np.ndarray:
     """Complex increments for paths [start, start+count), shape (count, steps, n).
 
-    Layout inside a path stream is (step, coordinate, uniform pair); the
-    Box-Muller pair becomes one complex coordinate increment of total
-    variance dt.
+    Path i draws from the Philox stream keyed (seed, i). Layout inside a path
+    stream is (step, coordinate, uniform pair); the Box-Muller pair becomes
+    one complex coordinate increment of total variance dt. One bit generator
+    serves the batch: before each path its state is set to that of a fresh
+    Philox(key=(seed, i)) (counter 0, empty buffer), so every path's stream
+    is the same however the paths are batched, and no seed material is built
+    per path.
     """
     u = np.empty((count, params.steps, config.n, 2), dtype=np.float64)
+    key = np.array([params.seed & 0xFFFFFFFFFFFFFFFF, 0], np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": key},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bitgen = np.random.Philox(0)  # seeded only to skip OS entropy; reset below
+    gen = np.random.Generator(bitgen)
     for i in range(count):
-        key = np.array(
-            [np.uint64(params.seed & 0xFFFFFFFFFFFFFFFF), np.uint64(start + i)],
-            np.uint64,
-        )
-        gen = np.random.Generator(np.random.Philox(key=key))
+        key[1] = start + i
+        bitgen.state = state
         gen.random(out=u[i])
-    return math.sqrt(params.dt / 2.0) * _box_muller(u)
+    return _box_muller(u, math.sqrt(params.dt / 2.0))
 
 
 def sample_path(config: GroupConfig, params: MCParams, path_index: int) -> BrownianPath:
@@ -165,17 +192,22 @@ def group_path(config: GroupConfig, b: BrownianPath) -> GroupPath:
     return GroupPath(config, b.times, b.B.copy(), C)
 
 
-def _terminal_batch(config: GroupConfig, params: MCParams, start: int, count: int):
-    """Terminal (W, C) of the group Brownian motion for one batch of paths."""
-    inc = _increment_batch(config, params, start, count)
+def _terminal(config: GroupConfig, inc: np.ndarray):
+    """Terminal (W, C) of the group Brownian motion from a batch of
+    increments of shape (count, steps, n)."""
     k = config.k
     dW = inc[:, :, :k]
     B = np.cumsum(dW, axis=1)
-    Bprev = np.concatenate([np.zeros((count, 1, k), complex), B[:, :-1]], axis=1)
+    Bprev = np.concatenate([np.zeros((inc.shape[0], 1, k), complex), B[:, :-1]], axis=1)
     area = np.einsum("psi,mij,psj->pm", Bprev, config.omega, dW)
     W_T = B[:, -1].copy()
     C_T = inc[:, :, k:].sum(axis=1) + 0.5 * area
     return W_T, C_T
+
+
+def _terminal_batch(config: GroupConfig, params: MCParams, start: int, count: int):
+    """Terminal (W, C) of the group Brownian motion for one batch of paths."""
+    return _terminal(config, _increment_batch(config, params, start, count))
 
 
 class _Kahan:
@@ -308,7 +340,7 @@ def heat_mc_grid(
         B = np.concatenate([np.zeros((count, 1, k), complex), np.cumsum(dW, axis=1)], axis=1)
         area = np.einsum("psi,mij,psj->psm", B[:, :-1], config.omega, dW)
         C = np.concatenate(
-            [np.zeros((count, 1, config.d), complex), np.cumsum(inc[:, :, k:] + 0j, axis=1)],
+            [np.zeros((count, 1, config.d), complex), np.cumsum(inc[:, :, k:], axis=1)],
             axis=1,
         )
         C[:, 1:] += 0.5 * np.cumsum(area, axis=1)
@@ -350,30 +382,62 @@ def chaos_eval(alpha: FockTensor, b: BrownianPath) -> complex:
     return total
 
 
-def _iterated_batch(inc: np.ndarray, nmax: int) -> list[np.ndarray]:
-    """Batched terminal M_0..M_nmax from increments of shape (count, steps, n)."""
-    count, steps, n = inc.shape
-    Ms = [np.ones((count,), complex)]
-    for r in range(1, nmax + 1):
-        Ms.append(np.zeros((count,) + (n,) * r, complex))
-    for s in range(steps):
-        db = inc[:, s, :]
-        for r in range(nmax, 1, -1):
-            Ms[r] += np.einsum("p...,pj->p...j", Ms[r - 1], db)
-        Ms[1] += db
-    return Ms
+def _pairings(alphas: list[FockTensor], inc: np.ndarray) -> np.ndarray:
+    """Pairings X_c = sum_n <alpha_c, M_n(T)> for a batch of increments of
+    shape (count, steps, n); returns shape (count, len(alphas)).
 
-
-def _pair_batch(alpha: FockTensor, Ms: list[np.ndarray]) -> np.ndarray:
-    out = np.full(Ms[0].shape[0], alpha.scalar, dtype=complex)
-    for r in range(1, alpha.maxrank + 1):
-        comp = alpha.ranks[r]
-        if not comp:
-            continue
-        M = Ms[r]
-        for key, coeff in comp.items():
-            out += coeff * M[(slice(None),) + key]
+    Only the entries of M_n that some tensor keys are formed. The keys are
+    gathered into a tree of their prefixes, walked depth first; a prefix
+    (i1..im) with longer keys below it carries its left-point path
+    I(t_s) = sum_{s1<...<sm<s} db_{s1,i1}...db_{sm,im}, the exclusive
+    cumulative sum over steps of I_parent * db[:, :, im], and a prefix with
+    nothing below it needs only I(T), a sum over steps. The work thus follows
+    the support of the tensors, one pass over the steps per distinct prefix,
+    instead of the n + n^2 + ... dense entries of every rank per step that
+    `iterated_integrals` updates.
+    """
+    out = np.empty((inc.shape[0], len(alphas)), complex)
+    root = {}  # index -> (children, [(column, coeff) of keys ending here])
+    for col, alpha in enumerate(alphas):
+        out[:, col] = alpha.scalar
+        for comp in alpha.ranks[1:]:
+            for key, coeff in comp.items():
+                children = root
+                for i in key[:-1]:
+                    children = children.setdefault(i, ({}, []))[0]
+                children.setdefault(key[-1], ({}, []))[1].append((col, coeff))
+    _pair_prefixes(root, None, inc, out)
     return out
+
+
+def _pair_prefixes(children: dict, prev, inc: np.ndarray, out: np.ndarray):
+    """One level of the `_pairings` walk. prev is the parent prefix's
+    left-point path, shape (count, steps), or None at the root, where I = 1.
+
+    A module-level function rather than a nested closure: a closure that
+    calls itself is a reference cycle, which would keep every batch's arrays
+    alive until the cyclic garbage collector runs.
+    """
+    count, steps, _ = inc.shape
+    for i, (grand, leaves) in children.items():
+        db = inc[:, :, i]
+        if grand:
+            path = np.empty((count, steps + 1), complex)
+            path[:, 0] = 0.0
+            if prev is None:
+                np.cumsum(db, axis=1, out=path[:, 1:])
+            else:
+                np.multiply(prev, db, out=path[:, 1:])
+                np.cumsum(path[:, 1:], axis=1, out=path[:, 1:])
+            terminal = path[:, -1]
+        elif prev is None:
+            terminal = db.sum(axis=1)
+        else:
+            terminal = np.einsum("ps,ps->p", prev, db)
+        for col, coeff in leaves:
+            out[:, col] += coeff * terminal
+        if grand:
+            _pair_prefixes(grand, path[:, :-1], inc, out)
 
 
 def chaos_isometry_mc(
@@ -389,11 +453,9 @@ def chaos_isometry_mc(
     errors, for testing cross-rank orthogonality.
     """
     L = len(alphas)
-    nmax = max(max(a.nonzero_maxrank() for a in alphas), 1)
 
     def batch(start, count):
-        Ms = _iterated_batch(_increment_batch(config, params, start, count), nmax)
-        x = np.stack([_pair_batch(a, Ms) for a in alphas], axis=1)
+        x = _pairings(alphas, _increment_batch(config, params, start, count))
         return (x[:, :, None] * x.conj()[:, None, :]).reshape(count, L * L)
 
     ests = _sample_means(params, workers, batch)
@@ -408,15 +470,11 @@ def chaos_residual(
     """Mean-square gap E|f(g(T)) - sum_n <alpha_n, M_n(T)>|^2 with both terms
     on the same path. Vanishes at O(dt) as the grid refines."""
     alpha = taylor(f)
-    nmax = max(alpha.nonzero_maxrank(), 2)
-    k = config.k
 
     def batch(start, count):
-        Ms = _iterated_batch(_increment_batch(config, params, start, count), nmax)
-        # the area sum is the antisymmetric omega-contraction of M_2
-        area = np.einsum("mij,pij->pm", config.omega, Ms[2][:, :k, :k])
-        direct = f.eval_batch(Ms[1][:, :k], Ms[1][:, k:] + 0.5 * area)
-        paired = _pair_batch(alpha, Ms)
+        inc = _increment_batch(config, params, start, count)
+        direct = f.eval_batch(*_terminal(config, inc))
+        paired = _pairings([alpha], inc)[:, 0]
         return (np.abs(direct - paired) ** 2).astype(complex)[:, None]
 
     return _sample_means(params, workers, batch)[0]

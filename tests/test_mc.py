@@ -1,5 +1,7 @@
 """Sampler reproducibility, moment targets, chaos pairing, and residuals."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,24 @@ def test_paths_deterministic_and_batch_independent():
     batch = mc._increment_batch(cfg, params, 5, 4)
     solo = mc._increment_batch(cfg, params, 7, 1)
     assert np.array_equal(batch[2], solo[0])
+
+
+def test_increment_stream_matches_fresh_philox_per_path():
+    # reference: a fresh Philox keyed (seed, i) per path and the complex
+    # exponential form of Box-Muller; a batch that re-keys one generator
+    # must leave no counter or buffer state behind between paths
+    cfg = heis()
+    params = mc.MCParams(T=0.7, steps=5, paths=1, seed=2**63 + 11)
+    start, count = 37, 6
+    u = np.empty((count, params.steps, cfg.n, 2))
+    for j in range(count):
+        key = np.array([params.seed, start + j], np.uint64)
+        np.random.Generator(np.random.Philox(key=key)).random(out=u[j])
+    r = np.sqrt(-2.0 * np.log1p(-u[..., 0]))
+    ref = np.sqrt(params.dt / 2.0) * (r * np.exp(2j * np.pi * u[..., 1]))
+    assert np.array_equal(mc._increment_batch(cfg, params, start, count), ref)
+    for j in range(count):
+        assert np.array_equal(mc.sample_path(cfg, params, start + j).increments, ref[j])
 
 
 def test_increment_normalization():
@@ -213,3 +233,67 @@ def test_lp_norm_mc_matches_exact_for_p2():
     params = mc.MCParams(T=1.0, steps=128, paths=12000, seed=14)
     est = mc.lp_norm_mc(cfg, f, 2.0, params)
     assert est.within(heat_expectation(f.abs_sq(), 1.0).real)
+
+
+def test_pairings_match_dense_reference(monkeypatch):
+    # the prefix walk against the dense per-path route: shared prefixes
+    # across columns, a key that ends where a longer one continues, a
+    # scalar-only tensor, keys into the central direction and rank 4
+    cfg = heis()
+    alphas = [
+        FockTensor(cfg, [{(): 0.5 - 1j}]),
+        FockTensor(cfg, [{(): 2.0}, {(0,): 1.0, (2,): -0.5j}, {(0, 1): 0.3, (2, 2): 1j}]),
+        FockTensor(cfg, [dict(), {(0,): 0.25}, dict(), {(0, 1, 0): 0.7 - 0.2j, (0, 1, 2): 1.1}]),
+        FockTensor(cfg, [dict(), dict(), {(0, 1): -1.0},
+                         {(2, 0, 1): 0.4j}, {(0, 1, 2, 1): 1.0, (1, 1, 1, 1): -0.6}]),
+    ]
+    params = mc.MCParams(T=1.3, steps=24, paths=40, seed=16)
+    got = mc._pairings(alphas, mc._increment_batch(cfg, params, 0, params.paths))
+    ref = np.array(
+        [[mc.chaos_eval(a, mc.sample_path(cfg, params, p)) for a in alphas]
+         for p in range(params.paths)]
+    )
+    assert got.shape == ref.shape
+    assert np.array_equal(got[:, 0], ref[:, 0])
+    assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    monkeypatch.setattr(mc, "BATCH", 64)
+    f = parse_poly(cfg, "w1^2*w2 + w2*c1 + 3*c1^2")
+    params = mc.MCParams(T=1.0, steps=16, paths=300, seed=17)
+    one = mc.chaos_residual(cfg, f, params, workers=1)
+    three = mc.chaos_residual(cfg, f, params, workers=3)
+    assert (one.mean, one.stderr) == (three.mean, three.stderr)
+    const = mc.chaos_residual(cfg, parse_poly(cfg, "(2-1i)"), params, workers=3)
+    assert const.mean == 0.0 and const.stderr == 0.0
+
+
+def test_estimators_leave_no_reference_cycles():
+    # arrays caught in a cycle live until the cyclic collector runs, which
+    # inflates peak memory; every estimator must free its batches by
+    # reference counting alone
+    cfg = heis()
+    params = mc.MCParams(T=1.0, steps=8, paths=200, seed=18)
+    f = parse_poly(cfg, "w1^2*c1 + w2")
+    h = GroupElement(cfg, np.array([0.3, -0.2j]), np.array([0.1 + 0.4j]))
+    alphas = [taylor(f), FockTensor(cfg, [dict(), {(0,): 1.0}])]
+    calls = [
+        lambda: mc.heat_sweep(cfg, [f], params),
+        lambda: mc.skeleton_sweep(cfg, [(f, h)], params),
+        lambda: mc.heat_mc_grid(cfg, f, params, stride=2),
+        lambda: mc.lp_norm_mc(cfg, f, 3.0, params),
+        lambda: mc.chaos_residual(cfg, f, params, workers=1),
+        lambda: mc.chaos_isometry_mc(cfg, alphas, params, workers=1),
+        lambda: mc.chaos_isometry_mc(cfg, alphas, params, workers=2),
+    ]
+    for call in calls:
+        call()  # warm-up: imports and caches settle outside the check
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for i, call in enumerate(calls):
+            call()
+            assert gc.collect() == 0, i
+    finally:
+        if was_enabled:
+            gc.enable()
