@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.optimize import minimize
 
 from .group import GroupConfig, GroupElement, k_omega
@@ -28,15 +27,6 @@ __all__ = [
     "bargmann_check",
     "gaussian_bound_check",
 ]
-
-# Gauss-Legendre order per segment. The integrand of a chart-linear segment is
-# constant, so this is exact with margin; keeping the quadrature means the
-# length routine stays correct if other interpolations are ever added.
-QUAD_ORDER = 8
-
-_NODES, _WEIGHTS = leggauss(QUAD_ORDER)
-_T01 = 0.5 * (_NODES + 1.0)
-_W01 = 0.5 * _WEIGHTS
 
 
 class CMPath:
@@ -57,23 +47,21 @@ class CMPath:
 def path_length(config: GroupConfig, points) -> float:
     """Left-invariant length of the chart-linear path through the points.
 
-    Per segment the speed is |(dw, dc - omega(w(t), dw)/2)| integrated by
-    Gauss-Legendre on [0, 1].
+    On a segment w(t) = w_s + t dw the speed |(dw, dc - omega(w(t), dw)/2)|
+    is constant, since omega(dw, dw) = 0; the length is the sum of
+    sqrt(|dw|^2 + |dc - omega(w_s, dw)/2|^2) over the segments.
     """
     if isinstance(points, CMPath):
         points = points.points
-    total = 0.0
-    for start, end in zip(points[:-1], points[1:]):
-        dw = end.w - start.w
-        dc = end.c - start.c
-        # w(t) = start.w + t dw at the quadrature nodes
-        wt = start.w[None, :] + _T01[:, None] * dw[None, :]
-        corr = dc[None, :] - 0.5 * config.omega_batch(wt, np.broadcast_to(dw, wt.shape))
-        speed = np.sqrt(
-            float(np.sum(np.abs(dw) ** 2)) + np.sum(np.abs(corr) ** 2, axis=1)
-        )
-        total += float(_W01 @ speed)
-    return total
+    return _length(config, np.array([p.w for p in points]), np.array([p.c for p in points]))
+
+
+def _length(config: GroupConfig, W: np.ndarray, C: np.ndarray) -> float:
+    """path_length over stacked waypoints: W is (points, k), C is (points, d)."""
+    dW, dC = np.diff(W, axis=0), np.diff(C, axis=0)
+    corr = dC - 0.5 * config.omega_batch(W[:-1], dW)
+    speed_sq = np.sum(np.abs(dW) ** 2, axis=1) + np.sum(np.abs(corr) ** 2, axis=1)
+    return float(np.sum(np.sqrt(speed_sq)))
 
 
 def distance_upper(
@@ -92,27 +80,19 @@ def distance_upper(
     """
     if segments < 1:
         raise ValueError("segments must be >= 1")
-    e = config.identity()
-    straight = path_length(config, [e, h])
+    straight = path_length(config, [config.identity(), h])
     if segments == 1 or straight == 0.0:
         return straight
     n = config.n
     m_int = segments - 1
     dim = m_int * 2 * n
-
-    def unpack(x: np.ndarray) -> list[GroupElement]:
-        z = x[: dim // 2] + 1j * x[dim // 2:]
-        pts = [e]
-        for i in range(m_int):
-            coords = z[i * n: (i + 1) * n]
-            pts.append(GroupElement(config, coords[: config.k], coords[config.k:]))
-        pts.append(h)
-        return pts
+    hz = np.concatenate([h.w, h.c])
 
     def objective(x: np.ndarray) -> float:
-        return path_length(config, unpack(x))
+        z = (x[: dim // 2] + 1j * x[dim // 2:]).reshape(m_int, n)
+        Z = np.vstack([np.zeros(n), z, hz])
+        return _length(config, Z[:, : config.k], Z[:, config.k:])
 
-    hz = np.concatenate([h.w, h.c])
     straight_pts = np.concatenate([(i / segments) * hz for i in range(1, segments)])
     x0 = np.concatenate([straight_pts.real, straight_pts.imag])
     scale = 0.3 * (1.0 + float(np.linalg.norm(hz)))

@@ -254,31 +254,13 @@ def omega_uniform_norm(config: GroupConfig, restarts: int = 32, seed: int = 0) -
     return best
 
 
-def k_omega(config: GroupConfig, tol: float = 1e-12, max_iter: int = 100_000) -> float:
+def k_omega(config: GroupConfig) -> float:
     """-lambda_max(M) with M = sum_m Omega_m^dagger Omega_m (Hermitian PSD).
 
-    Power iteration to relative tolerance `tol`. Always <= 0; bounded below by
+    Computed by a dense Hermitian eigensolver. Always <= 0; bounded below by
     minus the squared Hilbert-Schmidt norm of omega.
     """
     M = np.einsum("mji,mjl->il", config.omega.conj(), config.omega)
-    if float(np.max(np.abs(M))) == 0.0:
+    if not M.any():
         return 0.0
-    # deterministic start with a nonzero overlap guard
-    v = np.ones(config.k, complex) + 1j * np.linspace(0.1, 0.9, config.k)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        u = M @ v
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
-            # started in the kernel; perturb once
-            v = v + 1e-3
-            v /= np.linalg.norm(v)
-            continue
-        u /= nu
-        lam_new = float(np.real(np.conj(u) @ (M @ u)))
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1.0):
-            lam = lam_new
-            break
-        v, lam = u, lam_new
-    return -lam
+    return -float(np.linalg.eigvalsh(M)[-1])

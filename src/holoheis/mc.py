@@ -15,6 +15,7 @@ for any worker count.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -57,8 +58,14 @@ class MCParams:
     seed: int
 
     def __post_init__(self):
-        if self.T <= 0 or self.steps < 1 or self.paths < 1:
-            raise ValueError(f"invalid MC parameters {self}")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"MCParams: T must be finite and positive, got {self.T!r}")
+        for name in ("steps", "paths"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"MCParams: {name} must be an integer >= 1, got {value!r}")
+        if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2**64:
+            raise ValueError(f"MCParams: seed must be an integer in [0, 2^64), got {self.seed!r}")
 
     @property
     def dt(self) -> float:
@@ -158,7 +165,7 @@ def _increment_batch(config: GroupConfig, params: MCParams, start: int, count: i
     per path.
     """
     u = np.empty((count, params.steps, config.n, 2), dtype=np.float64)
-    key = np.array([params.seed & 0xFFFFFFFFFFFFFFFF, 0], np.uint64)
+    key = np.array([params.seed, 0], np.uint64)
     state = {
         "bit_generator": "Philox",
         "state": {"counter": np.zeros(4, np.uint64), "key": key},
@@ -329,6 +336,8 @@ def heat_mc_grid(
     Feeds time-integral checks (e.g. the martingale identity) that need the
     whole marginal flow rather than the terminal value.
     """
+    if not isinstance(stride, numbers.Integral) or stride < 1:
+        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
     if params.steps % stride:
         raise ValueError("stride must divide steps")
     idx = np.arange(0, params.steps + 1, stride)
@@ -484,8 +493,8 @@ def lp_norm_mc(
     config: GroupConfig, f: Polynomial, p: float, params: MCParams, workers: int = 1
 ) -> MCEstimate:
     """Sample mean of |f(g(T))|^p; the p-th root of the mean is the norm."""
-    if p <= 0:
-        raise ValueError("p must be positive")
+    if not (math.isfinite(p) and p > 0):
+        raise ValueError(f"p must be finite and positive, got {p!r}")
 
     def batch(start, count):
         W, C = _terminal_batch(config, params, start, count)

@@ -8,6 +8,11 @@ iff both conjugate blocks are untouched. Conjugate variables exist so that
 
 The graded degree weights w and wbar by 1 and c and cbar by 2; L strictly
 lowers it by 2, which is what makes the heat expectation a finite sum.
+
+Every derivative goes through one kernel, `_one_sided`, which adds the
+holomorphic half D_h or the antiholomorphic half D_h-bar of a left-invariant
+derivative straight into a term dict: lid_h = D_h + D_h-bar, and
+L = 4 sum_j D_j D_j-bar over the complex basis directions.
 """
 
 from __future__ import annotations
@@ -207,18 +212,6 @@ class Polynomial:
         """|f|^2 = f * conj(f) as a polynomial in all four blocks."""
         return self * self.conj()
 
-    def partial(self, index: int) -> "Polynomial":
-        """Formal partial derivative with respect to flat variable `index`."""
-        out = {}
-        for key, coeff in self.terms.items():
-            e = key[index]
-            if e:
-                new = list(key)
-                new[index] = e - 1
-                new = tuple(new)
-                out[new] = out.get(new, 0j) + e * coeff
-        return Polynomial._bounded(self.config, out)
-
     # -- evaluation --------------------------------------------------------------
 
     def eval(self, g: GroupElement) -> complex:
@@ -267,15 +260,15 @@ class Polynomial:
                     factors.append(names[idx])
                 elif e > 1:
                     factors.append(f"{names[idx]}^{e}")
+            # repr floats round-trip exactly through parse_poly
             if coeff.imag == 0:
-                cs = f"{coeff.real:g}"
-            elif coeff.real == 0:
-                cs = f"{coeff.imag:g}i"
+                cs = repr(coeff.real)
             else:
-                cs = f"({coeff.real:g}{coeff.imag:+g}i)"
-            if factors and cs == "1":
+                im = repr(coeff.imag)
+                cs = f"({coeff.real!r}{'' if im[0] == '-' else '+'}{im}i)"
+            if factors and coeff == 1:
                 parts.append(" * ".join(factors))
-            elif factors and cs == "-1":
+            elif factors and coeff == -1:
                 parts.append("-" + " * ".join(factors))
             else:
                 parts.append(" * ".join([cs] + factors))
@@ -384,69 +377,93 @@ def parse_poly(config: GroupConfig, text: str) -> Polynomial:
     return result
 
 
+def _one_sided(terms: dict, off: int, A: list, a: list, OmA: list, out: dict) -> None:
+    """Add one half of a left-invariant derivative of `terms` into `out`.
+
+    With off = 0 this is the holomorphic half along h = (A, a),
+
+        D_h = sum_j A_j d/dw_j + sum_m v_m(w) d/dc_m,   v(w) = a + omega(w, A)/2,
+
+    where OmA[m][i] = (Omega_m A)_i. With off = n and A, a, OmA conjugated by
+    the caller it is the antiholomorphic half D_h-bar on the conjugate blocks.
+    Neither half raises the graded degree: d/dc lowers it by 2, v by at most 1.
+    """
+    k, d = len(A), len(a)
+    flat = [(off + j, A[j]) for j in range(k) if A[j]]
+    central = [
+        (off + k + m, a[m], [(off + i, 0.5 * OmA[m][i]) for i in range(k) if OmA[m][i]])
+        for m in range(d)
+    ]
+    for key, coeff in terms.items():
+        for idx, scale in flat:
+            e = key[idx]
+            if e:
+                new = key[:idx] + (e - 1,) + key[idx + 1:]
+                out[new] = out.get(new, 0j) + e * scale * coeff
+        for idx, const, linear in central:
+            e = key[idx]
+            if not e:
+                continue
+            base = e * coeff
+            lowered = key[:idx] + (e - 1,) + key[idx + 1:]
+            if const:
+                out[lowered] = out.get(lowered, 0j) + const * base
+            for i, scale in linear:
+                new = lowered[:i] + (lowered[i] + 1,) + lowered[i + 1:]
+                out[new] = out.get(new, 0j) + scale * base
+
+
+def _halves(h: GroupElement) -> tuple[tuple, tuple]:
+    """Kernel arguments (A, a, OmA) of D_h and of D_h-bar."""
+    OmA = np.einsum("mij,j->mi", h.config.omega, h.w)
+    # Python scalars: numpy scalar arithmetic and comparisons cost more per call.
+    return (
+        (h.w.tolist(), h.c.tolist(), OmA.tolist()),
+        (h.w.conj().tolist(), h.c.conj().tolist(), OmA.conj().tolist()),
+    )
+
+
 def lid(f: Polynomial, h: GroupElement) -> Polynomial:
     """Left-invariant derivative of f along the direction h = (A, a).
 
-    The derivative of t -> f(g . (tA, ta)) at t = 0:
+    The derivative of t -> f(g . (tA, ta)) at t = 0 is D_h f + D_h-bar f, the
+    two halves of `_one_sided`:
 
         sum_j A_j df/dw_j + conj(A_j) df/dwbar_j
       + sum_m v_m(w) df/dc_m + conj(v_m)(wbar) df/dcbar_m,
 
     with v(w) = a + omega(w, A)/2, a vector of degree-1 polynomials in w.
-    Holomorphic f stays holomorphic (the conjugate terms vanish).
+    Holomorphic f stays holomorphic (the conjugate half vanishes).
     """
-    cfg = f.config
-    k, d, n = cfg.k, cfg.d, cfg.n
-    out = Polynomial.zero(cfg)
-    # Python scalars: numpy scalar arithmetic and comparisons cost more per call.
-    A, a = h.w.tolist(), h.c.tolist()
-    # omega(w, A)_m = sum_i (Omega_m A)_i w_i
-    OmA = np.einsum("mij,j->mi", cfg.omega, h.w).tolist()
-    for j in range(k):
-        if A[j] != 0:
-            df = f.partial(j)
-            if not df.is_zero():
-                out = out + A[j] * df
-        if A[j].conjugate() != 0:
-            df = f.partial(n + j)
-            if not df.is_zero():
-                out = out + A[j].conjugate() * df
-    for m in range(d):
-        df = f.partial(k + m)
-        if not df.is_zero():
-            v = Polynomial.constant(cfg, a[m])
-            for i in range(k):
-                if OmA[m][i] != 0:
-                    v = v + 0.5 * OmA[m][i] * Polynomial.coordinate(cfg, i)
-            out = out + v * df
-        df = f.partial(n + k + m)
-        if not df.is_zero():
-            vbar = Polynomial.constant(cfg, a[m].conjugate())
-            for i in range(k):
-                if OmA[m][i].conjugate() != 0:
-                    vbar = vbar + 0.5 * OmA[m][i].conjugate() * Polynomial.coordinate(
-                        cfg, n + i
-                    )
-            out = out + vbar * df
-    return out
+    n = f.config.n
+    hol, anti = _halves(h)
+    out: dict = {}
+    _one_sided(f.terms, 0, *hol, out)
+    _one_sided(f.terms, n, *anti, out)
+    return Polynomial._bounded(f.config, out)
 
 
 def apply_L(F: Polynomial) -> Polynomial:
-    """Sum of squared left-invariant derivatives over the real basis directions:
+    """Sum of squared left-invariant derivatives over the real basis directions,
 
         L = sum_j [lid^2_(e_j,0) + lid^2_(ie_j,0)]
-          + sum_m [lid^2_(0,f_m) + lid^2_(0,if_m)].
+          + sum_m [lid^2_(0,f_m) + lid^2_(0,if_m)],
+
+    computed as L = 4 sum_j D_j D_j-bar over the n complex basis directions.
+    With lid_h = D + D-bar, lid_ih = i(D - D-bar), so lid_h^2 + lid_ih^2 =
+    (D + D-bar)^2 - (D - D-bar)^2 = 4 D D-bar, as D and D-bar commute: their
+    coefficients live in disjoint variables.
 
     Annihilates holomorphic polynomials; strictly lowers graded degree by 2.
     """
     cfg = F.config
-    out = Polynomial.zero(cfg)
+    out: dict = {}
     for index in range(cfg.n):
-        h = cfg.basis_direction(index)
-        ih = h.scale(1j)
-        for direction in (h, ih):
-            out = out + lid(lid(F, direction), direction)
-    return out
+        hol, anti = _halves(cfg.basis_direction(index))
+        bar: dict = {}
+        _one_sided(F.terms, cfg.n, *anti, bar)
+        _one_sided(bar, 0, *hol, out)
+    return Polynomial._bounded(cfg, {key: 4.0 * z for key, z in out.items()})
 
 
 def heat_expectation(F: Polynomial, T: float) -> complex:

@@ -58,6 +58,17 @@ def test_bad_poly_exits_2(capsys):
         assert err.startswith("error:")
 
 
+def test_bad_mc_parameters_exit_2(capsys):
+    for extra in (["--T", "nan"], ["--seed", "-1"]):
+        argv = ["simulate", "--poly", "w1", "--paths", "10", "--steps", "4"] + extra
+        code, out, err = run(capsys, argv)
+        assert code == 2, extra
+        assert out == "" and err.startswith("error: MCParams:")
+    code, out, err = run(capsys, ["bounds", "--count", "1", "--p", "nan", "--paths", "10",
+                                  "--steps", "4"])
+    assert code == 2 and out == "" and err.startswith("error: p must")
+
+
 def test_bad_point_exits_2(capsys):
     code, _, err = run(
         capsys,

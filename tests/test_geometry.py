@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from holoheis.group import GroupConfig, GroupElement
+from holoheis.group import GroupConfig, GroupElement, group_inv, group_mul
 from holoheis.poly import parse_poly
 from holoheis.mc import MCParams
 from holoheis.geometry import (
@@ -43,6 +43,20 @@ def test_straight_segment_length():
     h = elem(cfg, [1.0, 2.0j], [0.5 + 0.5j])
     expected = math.sqrt(1.0 + 4.0 + 0.5)
     assert path_length(cfg, [cfg.identity(), h]) == pytest.approx(expected, abs=1e-12)
+
+    # several segments on a random form, against a Riemann sum of the left
+    # increments g(t_i)^-1 g(t_i+1) over a fine grid of each segment
+    rng = np.random.default_rng(8)
+    raw = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    cfg = GroupConfig(3, 2, raw - np.transpose(raw, (0, 2, 1)))
+    z = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+    points = [cfg.identity()] + [elem(cfg, row[:3], row[3:]) for row in z]
+    fine = 0.0
+    for a, b in zip(points[:-1], points[1:]):
+        grid = [elem(cfg, a.w + t * (b.w - a.w), a.c + t * (b.c - a.c))
+                for t in np.linspace(0.0, 1.0, 2001)]
+        fine += sum(group_mul(group_inv(g0), g1).norm() for g0, g1 in zip(grid[:-1], grid[1:]))
+    assert path_length(cfg, points) == pytest.approx(fine, rel=1e-12)
 
 
 def test_length_invariant_under_splitting():

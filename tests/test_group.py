@@ -137,15 +137,23 @@ def test_omega_uniform_norm_dominates_probes():
 
 def test_k_omega_reference():
     assert k_omega(heis()) == pytest.approx(-1.0, abs=1e-12)
+    assert k_omega(GroupConfig(2, 1, np.zeros((1, 2, 2)))) == 0.0
 
 
 def test_k_omega_against_dense_eigensolver():
     rng = np.random.default_rng(7)
-    for k, d in [(2, 1), (3, 2), (4, 1)]:
-        cfg = random_config(rng, k, d)
+    configs = [random_config(rng, k, d) for k, d in [(2, 1), (3, 2), (4, 1)]]
+    # top eigenvalues 1 and 1 + 2e-7: an iterative estimate stalls below
+    # lambda_max, which would tighten the Gaussian-type bound
+    J = np.array([[0.0, 1.0], [-1.0, 0.0]], complex)
+    om = np.zeros((2, 4, 4), complex)
+    om[0, :2, :2] = J
+    om[1, 2:, 2:] = np.sqrt(1 + 2e-7) * J
+    configs.append(GroupConfig(4, 2, om))
+    for cfg in configs:
         M = np.einsum("mji,mjl->il", cfg.omega.conj(), cfg.omega)
         expected = -float(np.linalg.eigvalsh(M)[-1])
-        assert k_omega(cfg) == pytest.approx(expected, rel=1e-10)
+        assert k_omega(cfg) == pytest.approx(expected, rel=1e-13)
 
 
 def test_config_dict_roundtrip_and_hash():

@@ -18,10 +18,35 @@ def heis():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        mc.MCParams(T=0.0, steps=16, paths=10, seed=0)
-    with pytest.raises(ValueError):
-        mc.MCParams(T=1.0, steps=0, paths=10, seed=0)
+    # each bad value fails by name: non-finite or non-positive T, fractional
+    # or zero counts, seeds outside the uint64 key range
+    cases = [
+        (dict(T=0.0), "T"),
+        (dict(T=float("nan")), "T"),
+        (dict(T=float("inf")), "T"),
+        (dict(steps=0), "steps"),
+        (dict(steps=2.5), "steps"),
+        (dict(paths=2.5), "paths"),
+        (dict(seed=-1), "seed"),
+        (dict(seed=2**64), "seed"),
+    ]
+    for bad, name in cases:
+        kwargs = dict(T=1.0, steps=16, paths=10, seed=0) | bad
+        with pytest.raises(ValueError, match=rf"\b{name} must"):
+            mc.MCParams(**kwargs)
+    assert mc.MCParams(T=1, steps=np.int64(4), paths=1, seed=2**64 - 1).seed == 2**64 - 1
+
+
+def test_estimators_reject_bad_arguments_by_name():
+    cfg = heis()
+    f = parse_poly(cfg, "w1")
+    params = mc.MCParams(T=1.0, steps=4, paths=8, seed=0)
+    for stride in (0, -1):
+        with pytest.raises(ValueError, match="stride"):
+            mc.heat_mc_grid(cfg, f, params, stride=stride)
+    for p in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="p must"):
+            mc.lp_norm_mc(cfg, f, p, params)
 
 
 def test_paths_deterministic_and_batch_independent():

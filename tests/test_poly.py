@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from holoheis.group import GroupConfig, GroupElement, group_mul, bracket
 from holoheis.poly import Polynomial, parse_poly, lid, apply_L, heat_expectation, DEGREE_CAP
@@ -45,6 +45,21 @@ def test_parse_rejects_garbage():
     for text in ["2i", "2i*w1", "3 c1", "w1 w2"]:
         with pytest.raises(ValueError, match=r"got '(i|c1|w2)'"):
             parse_poly(cfg, text)
+
+
+COEFF = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+# exponents 0..2 in each of w1, w2, c1, wbar1, wbar2, cbar1: graded degree <= 16
+TERMS = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 6), COEFF, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms=TERMS)
+@example(terms={(1, 0, 0, 0, 0, 0): 2j, (0, 1, 1, 0, 0, 1): -1.2345678})
+@example(terms={(0,) * 6: complex(-0.0, -3e-7), (0, 0, 0, 2, 0, 0): 1e300 + 1j})
+def test_str_parses_back_exactly(terms):
+    cfg = heis()
+    p = Polynomial(cfg, terms)
+    assert parse_poly(cfg, str(p)) == p
 
 
 def test_arithmetic_matches_pointwise():
@@ -151,6 +166,47 @@ def test_L_of_abs_sq_is_sum_of_lid_squares():
         df = lid(f, cfg.basis_direction(j))
         rhs = rhs + 4 * df.abs_sq()
     assert lhs.close_to(rhs, 1e-10)
+
+
+def random_config(rng, k, d):
+    raw = rng.normal(size=(d, k, k)) + 1j * rng.normal(size=(d, k, k))
+    return GroupConfig(k, d, raw - np.transpose(raw, (0, 2, 1)))
+
+
+def random_poly(cfg, rng, terms, factors=3, holomorphic=False):
+    # monomials of up to `factors` random variables from all four blocks
+    nv = cfg.n if holomorphic else 2 * cfg.n
+    out = {}
+    for _ in range(terms):
+        key = [0] * (2 * cfg.n)
+        for index in rng.integers(0, nv, size=int(rng.integers(1, factors + 1))):
+            key[index] += 1
+        out[tuple(key)] = complex(rng.normal(), rng.normal())
+    return Polynomial(cfg, out)
+
+
+def L_by_definition(F):
+    # L = sum over the 2n real directions h, ih of lid_h lid_h
+    cfg = F.config
+    out = Polynomial.zero(cfg)
+    for index in range(cfg.n):
+        h = cfg.basis_direction(index)
+        for direction in (h, h.scale(1j)):
+            out = out + lid(lid(F, direction), direction)
+    return out
+
+
+def test_L_matches_definition_on_non_holomorphic_input():
+    # apply_L computes 4 sum D D-bar; the definition squares whole lids
+    rng = np.random.default_rng(11)
+    for cfg in [heis(), random_config(rng, 3, 1), random_config(rng, 2, 2)]:
+        cases = [parse_poly(cfg, "w1*wbar1*c1 + cbar1^2*w1 - (2-1i)*c1*cbar1")]
+        for _ in range(4):
+            cases.append(random_poly(cfg, rng, 6))
+            cases.append(random_poly(cfg, rng, 3, factors=2, holomorphic=True).abs_sq())
+        for F in cases:
+            assert not F.is_holomorphic()
+            assert apply_L(F).close_to(L_by_definition(F), 1e-10)
 
 
 def test_heat_expectation_reference_values():
