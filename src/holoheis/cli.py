@@ -96,6 +96,36 @@ def format_complex(z: complex) -> str:
     return f"{z.real!r}{'+' if z.imag >= 0 else '-'}{abs(z.imag)!r}j"
 
 
+def _row(
+    experiment: str,
+    config: GroupConfig,
+    target: complex,
+    estimate: complex,
+    passed: bool,
+    *,
+    stderr: float = 0.0,
+    T: float = 0.0,
+    steps: int = 0,
+    paths: int = 0,
+    seed: int = 0,
+) -> dict:
+    """One row of UNIFIED_COLUMNS."""
+    estimate = complex(estimate)
+    return {
+        "experiment": experiment,
+        "config_hash": config.config_hash,
+        "T": T,
+        "steps": steps,
+        "paths": paths,
+        "seed": seed,
+        "target": format_complex(target),
+        "estimate_re": estimate.real,
+        "estimate_im": estimate.imag,
+        "stderr": stderr,
+        "pass": passed,
+    }
+
+
 def _mc_row(
     experiment: str,
     config: GroupConfig,
@@ -109,19 +139,8 @@ def _mc_row(
     soft = est.within(target, 3.0, allowance)
     hard = est.within(target, 4.0, allowance)
     name = experiment if soft else (experiment + ":hard4sigma" if hard else experiment)
-    return {
-        "experiment": name,
-        "config_hash": config.config_hash,
-        "T": params.T,
-        "steps": params.steps,
-        "paths": params.paths,
-        "seed": params.seed,
-        "target": format_complex(target),
-        "estimate_re": est.mean.real,
-        "estimate_im": est.mean.imag,
-        "stderr": est.stderr,
-        "pass": bool(hard),
-    }
+    return _row(name, config, target, est.mean, bool(hard), stderr=est.stderr,
+                T=params.T, steps=params.steps, paths=params.paths, seed=params.seed)
 
 
 def _exact_row(
@@ -134,19 +153,7 @@ def _exact_row(
 ) -> dict:
     gap = abs(complex(estimate) - complex(target))
     scale = max(1.0, abs(complex(target)))
-    return {
-        "experiment": experiment,
-        "config_hash": config.config_hash,
-        "T": T,
-        "steps": 0,
-        "paths": 0,
-        "seed": 0,
-        "target": format_complex(target),
-        "estimate_re": complex(estimate).real,
-        "estimate_im": complex(estimate).imag,
-        "stderr": 0.0,
-        "pass": bool(gap <= tol * scale),
-    }
+    return _row(experiment, config, target, estimate, bool(gap <= tol * scale), T=T)
 
 
 def write_rows(rows: list[dict], columns: list[str], fmt: str, out, comments: list[str]):
@@ -250,41 +257,16 @@ def cmd_chaos(config: GroupConfig, args) -> tuple[list[dict], list[str], int]:
         params = mc.MCParams(args.T, steps, args.paths, args.seed)
         est = mc.chaos_residual(config, f, params, workers=args.workers)
         means.append(est.mean.real)
-        rows.append(
-            {
-                "experiment": "chaos:residual",
-                "config_hash": config.config_hash,
-                "T": args.T,
-                "steps": steps,
-                "paths": args.paths,
-                "seed": args.seed,
-                "target": "0.0",
-                "estimate_re": est.mean.real,
-                "estimate_im": 0.0,
-                "stderr": est.stderr,
-                "pass": True,
-            }
-        )
+        rows.append(_row("chaos:residual", config, 0.0, est.mean.real, True, stderr=est.stderr,
+                         T=args.T, steps=steps, paths=args.paths, seed=args.seed))
     ok = True
     for a, b in zip(means[:-1], means[1:]):
         ratio = a / b if b > 0 else float("inf")
         good = 1.4 <= ratio <= 2.8 or a <= 1e-20
         ok = ok and good
-        rows.append(
-            {
-                "experiment": "chaos:ratio",
-                "config_hash": config.config_hash,
-                "T": args.T,
-                "steps": 0,
-                "paths": args.paths,
-                "seed": args.seed,
-                "target": "2.0",
-                "estimate_re": ratio if ratio != float("inf") else 0.0,
-                "estimate_im": 0.0,
-                "stderr": 0.0,
-                "pass": bool(good),
-            }
-        )
+        estimate = ratio if ratio != float("inf") else 0.0
+        rows.append(_row("chaos:ratio", config, 2.0, estimate, bool(good),
+                         T=args.T, paths=args.paths, seed=args.seed))
     return rows, UNIFIED_COLUMNS, 0 if ok else 1
 
 
@@ -430,37 +412,11 @@ def cmd_verify_all(config: GroupConfig, args) -> tuple[list[dict], list[str], in
         p = mc.MCParams(1.0, steps, max(args.paths // 2, 500), seed + 3)
         r = mc.chaos_residual(config, fq, p, workers)
         res.append(r.mean.real)
-        rows.append(
-            {
-                "experiment": f"chaos:residual:{steps}",
-                "config_hash": config.config_hash,
-                "T": p.T,
-                "steps": steps,
-                "paths": p.paths,
-                "seed": p.seed,
-                "target": "0.0",
-                "estimate_re": r.mean.real,
-                "estimate_im": 0.0,
-                "stderr": r.stderr,
-                "pass": True,
-            }
-        )
+        rows.append(_row(f"chaos:residual:{steps}", config, 0.0, r.mean.real, True,
+                         stderr=r.stderr, T=p.T, steps=steps, paths=p.paths, seed=p.seed))
     ratio = res[0] / res[1] if res[1] > 0 else 0.0
-    rows.append(
-        {
-            "experiment": "chaos:ratio",
-            "config_hash": config.config_hash,
-            "T": 1.0,
-            "steps": 0,
-            "paths": max(args.paths // 2, 500),
-            "seed": seed + 3,
-            "target": "2.0",
-            "estimate_re": ratio,
-            "estimate_im": 0.0,
-            "stderr": 0.0,
-            "pass": bool(1.4 <= ratio <= 2.8),
-        }
-    )
+    rows.append(_row("chaos:ratio", config, 2.0, ratio, bool(1.4 <= ratio <= 2.8),
+                     T=1.0, paths=max(args.paths // 2, 500), seed=seed + 3))
 
     # gaussian moments of the flat part
     phi = rng.normal(size=config.k) + 1j * rng.normal(size=config.k)
@@ -487,21 +443,8 @@ def cmd_verify_all(config: GroupConfig, args) -> tuple[list[dict], list[str], in
         f = polys[i]
         d_up = distance_upper(config, h, segments=3, restarts=2, seed=seed + 5)
         row = bargmann_check(config, f, h, 1.0, d_up=d_up)
-        rows.append(
-            {
-                "experiment": f"bounds:{i}",
-                "config_hash": config.config_hash,
-                "T": 1.0,
-                "steps": 0,
-                "paths": 0,
-                "seed": seed + 5,
-                "target": format_complex(row["bound"]),
-                "estimate_re": row["value"],
-                "estimate_im": 0.0,
-                "stderr": 0.0,
-                "pass": row["pass"],
-            }
-        )
+        rows.append(_row(f"bounds:{i}", config, row["bound"], row["value"], row["pass"],
+                         T=1.0, seed=seed + 5))
 
     code = 0 if all(r["pass"] for r in rows) else 1
     return rows, UNIFIED_COLUMNS, code

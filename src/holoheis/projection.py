@@ -11,10 +11,12 @@ computes both and insists they agree.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .group import GroupConfig, GroupElement
-from .poly import Polynomial, lid
+from .poly import CLEANUP_TOL, Polynomial, lid
 from .fock import FockTensor, taylor
 
 __all__ = [
@@ -144,22 +146,25 @@ def compose_with_projection(proj: Projection, f: Polynomial) -> Polynomial:
     return out
 
 
-def _direction_coefficients(proj: Projection, h: GroupElement) -> list[tuple[int, Polynomial]]:
-    """The pushed direction as basis components with polynomial coefficients.
+def _direction_coefficients(
+    proj: Projection, h: GroupElement
+) -> list[tuple[int, complex | Polynomial]]:
+    """The pushed direction as basis components with their coefficients.
 
-    Horizontal components of PA are constants; each central component is
-    a_m + (w-linear) where the linear part carries (Omega_m - P^T Omega_m P)A.
-    Expressing the central shift in the source variable w (not Pw) is what
-    lets the kappa recursion differentiate it again.
+    Horizontal components of PA are complex constants, so multiplying a state
+    polynomial by one is a scalar scale; each central component is the
+    polynomial a_m + (w-linear) where the linear part carries
+    (Omega_m - P^T Omega_m P)A. Expressing the central shift in the source
+    variable w (not Pw) is what lets the kappa recursion differentiate it again.
     """
     cfg = proj.config
     k, d = cfg.k, cfg.d
     A, a = h.w, h.c
     B = proj.apply(A)
-    out = []
-    for l in range(k):
-        if abs(B[l]) > 0:
-            out.append((l, Polynomial.constant(cfg, B[l])))
+    # constants at or below CLEANUP_TOL would be dropped as polynomials
+    out: list[tuple[int, complex | Polynomial]] = [
+        (l, complex(B[l])) for l in range(k) if abs(B[l]) > CLEANUP_TOL
+    ]
     PA = B
     for m in range(d):
         co = cfg.omega[m] @ A - proj.matrix.T @ (cfg.omega[m] @ PA)
@@ -172,13 +177,46 @@ def _direction_coefficients(proj: Projection, h: GroupElement) -> list[tuple[int
     return out
 
 
+def _kappa_step(
+    proj: Projection, state: dict[tuple, Polynomial], h: GroupElement, comps: list
+) -> dict[tuple, Polynomial]:
+    """One step of the kappa recursion along the raw direction h, whose pushed
+    components are comps = _direction_coefficients(proj, h). Returns a new
+    state; the given one is left as it is."""
+    new: dict[tuple, Polynomial] = {}
+
+    def add(key: tuple, poly: Polynomial) -> None:
+        prev = new.get(key)
+        new[key] = poly if prev is None else prev + poly
+
+    for key, poly in state.items():
+        dp = lid(poly, h)
+        if not dp.is_zero():
+            add(key, dp)
+        for l, coeff in comps:
+            add((l,) + key, coeff * poly)
+    return {key: poly for key, poly in new.items() if not poly.is_zero()}
+
+
+def _state_tensor(cfg: GroupConfig, state: dict[tuple, Polynomial], n: int) -> FockTensor:
+    """The kappa tensor of a state after n steps: each tuple's constant term."""
+    ranks: list[dict] = [dict() for _ in range(n + 1)]
+    for key, poly in state.items():
+        val = poly.constant_term()
+        if val != 0:
+            ranks[len(key)][key] = val
+    return FockTensor(cfg, ranks)
+
+
 def kappa(proj: Projection, directions: list[GroupElement]) -> FockTensor:
     """The pairing tensor for an iterated derivative of f o pi_P.
 
     directions lists k_1..k_n with k_1 applied first (innermost). The state is
-    a tuple-indexed family of w-polynomials; each step either extends a tuple
-    on the left with a component of the pushed direction or differentiates a
-    coefficient along the raw direction. Evaluated at the identity, the result
+    a tuple-indexed family of w-polynomials; each step (`_kappa_step`) either
+    extends a tuple on the left with a component of the pushed direction or
+    differentiates a coefficient along the raw direction. So the state after
+    m steps depends only on k_1..k_m, and pullback_taylor shares it between
+    checked tuples with a common suffix. Evaluated at the identity, the result
     pairs linearly with taylor(f):
 
         (h~_1 ... h~_n (f o pi_P))(e) = sum_u kappa[u] * taylor(f)[u],
@@ -188,23 +226,8 @@ def kappa(proj: Projection, directions: list[GroupElement]) -> FockTensor:
     cfg = proj.config
     state: dict[tuple, Polynomial] = {(): Polynomial.constant(cfg, 1.0)}
     for h in directions:
-        comps = _direction_coefficients(proj, h)
-        new: dict[tuple, Polynomial] = {}
-        for key, poly in state.items():
-            dp = lid(poly, h)
-            if not dp.is_zero():
-                new[key] = new.get(key, Polynomial.zero(cfg)) + dp
-            for l, coeff in comps:
-                ext = (l,) + key
-                new[ext] = new.get(ext, Polynomial.zero(cfg)) + coeff * poly
-        state = {key: poly for key, poly in new.items() if not poly.is_zero()}
-    n = len(directions)
-    ranks: list[dict] = [dict() for _ in range(n + 1)]
-    for key, poly in state.items():
-        val = poly.constant_term()
-        if val != 0:
-            ranks[len(key)][key] = val
-    return FockTensor(cfg, ranks)
+        state = _kappa_step(proj, state, h, _direction_coefficients(proj, h))
+    return _state_tensor(cfg, state, len(directions))
 
 
 def _check_tuples(cfg: GroupConfig, maxrank: int) -> list[tuple]:
@@ -225,6 +248,57 @@ def _check_tuples(cfg: GroupConfig, maxrank: int) -> list[tuple]:
     return sorted(set(out))
 
 
+def _pair(kap: FockTensor, alpha: FockTensor) -> complex:
+    """sum_u kap[u] * alpha[u] over the ranks >= 1."""
+    total = 0j
+    for r in range(1, kap.maxrank + 1):
+        for key, coeff in kap.ranks[r].items():
+            total += coeff * alpha.entry(key)
+    return total
+
+
+def _route_b(proj: Projection, alpha: FockTensor, tuples: list[tuple]):
+    """Yield (t, route-b value of the Taylor entry of f o pi_P at t) for each
+    tuple, where alpha = taylor(f).
+
+    The kappa state of t is one step along t[0] from the state of its proper
+    suffix t[1:]. Suffix states are built once and kept for this call only;
+    the state of each t is paired and dropped at once.
+    """
+    cfg = proj.config
+    dirs = cfg.basis()
+    comps = [_direction_coefficients(proj, h) for h in dirs]
+    suffixes: dict[tuple, dict] = {(): {(): Polynomial.constant(cfg, 1.0)}}
+
+    def step(t: tuple) -> dict:
+        return _kappa_step(proj, suffix_state(t[1:]), dirs[t[0]], comps[t[0]])
+
+    def suffix_state(s: tuple) -> dict:
+        state = suffixes.get(s)
+        if state is None:
+            state = suffixes[s] = step(s)
+        return state
+
+    for t in tuples:
+        yield t, _pair(_state_tensor(cfg, step(t), len(t)), alpha)
+
+
+def _checked_pullback(
+    proj: Projection, f: Polynomial, alpha: FockTensor, maxrank: int | None
+) -> FockTensor:
+    """pullback_taylor with alpha = taylor(f) supplied by the caller."""
+    route_a = taylor(compose_with_projection(proj, f), maxrank)
+    worst = 0.0
+    for t, value in _route_b(proj, alpha, _check_tuples(proj.config, route_a.maxrank)):
+        gap = abs(route_a.entry(t) - value)
+        worst = max(worst, gap)
+        if worst > 1e-10:
+            raise AssertionError(
+                f"pullback routes disagree at tuple {t}: gap {worst:.2e}"
+            )
+    return route_a
+
+
 def pullback_taylor(
     proj: Projection, f: Polynomial, maxrank: int | None = None
 ) -> FockTensor:
@@ -233,30 +307,12 @@ def pullback_taylor(
     Route a substitutes Pw into f and differentiates the composite; route b
     pairs kappa tensors against taylor(f) without ever forming the composite.
     Disagreement beyond 1e-10 on the checked tuple set raises, since it means
-    the two derivative calculi have diverged.
+    the two derivative calculi have diverged. Route b builds the kappa state
+    of each proper suffix of a checked tuple once per call and reaches each
+    tuple by one more step from its suffix, which gives exactly the tensor
+    `kappa` would build from scratch.
     """
-    composed = compose_with_projection(proj, f)
-    route_a = taylor(composed, maxrank)
-    alpha = taylor(f)
-
-    def pair(t: tuple) -> complex:
-        dirs = [proj.config.basis_direction(t[len(t) - j]) for j in range(1, len(t) + 1)]
-        kap = kappa(proj, dirs)
-        total = 0j
-        for r in range(1, kap.maxrank + 1):
-            for key, coeff in kap.ranks[r].items():
-                total += coeff * alpha.entry(key)
-        return total
-
-    worst = 0.0
-    for t in _check_tuples(proj.config, route_a.maxrank):
-        gap = abs(route_a.entry(t) - pair(t))
-        worst = max(worst, gap)
-        if worst > 1e-10:
-            raise AssertionError(
-                f"pullback routes disagree at tuple {t}: gap {worst:.2e}"
-            )
-    return route_a
+    return _checked_pullback(proj, f, taylor(f), maxrank)
 
 
 def projection_convergence(
@@ -267,13 +323,15 @@ def projection_convergence(
 
     Returns one row per N with the per-rank norms of the difference and the
     total norm at time T; at N = k the projection is the identity and every
-    gap is exactly zero.
+    gap is exactly zero. T must be finite and positive.
     """
+    if not math.isfinite(T) or T <= 0:
+        raise ValueError(f"projection_convergence requires a finite T > 0, got T={T}")
     alpha = taylor(f)
     rows = []
     for N in range(1, config.k + 1):
         proj = Projection.coordinate(config, range(N))
-        pulled = pullback_taylor(proj, f, maxrank=alpha.maxrank)
+        pulled = _checked_pullback(proj, f, alpha, alpha.maxrank)
         diff = pulled.sub(alpha)
         gaps = [diff.rank_norm_sq(r) ** 0.5 for r in range(diff.maxrank + 1)]
         total_sq = 0.0

@@ -113,6 +113,13 @@ def test_project_monotone_to_zero(capsys):
     assert totals[-1] <= 1e-12
 
 
+def test_project_bad_T_exits_2(capsys):
+    for T in ("-1", "0", "nan"):
+        code, out, err = run(capsys, ["project", "--poly", "w1*w2 + c1^2 - w2", "--T", T])
+        assert code == 2, T
+        assert out == "" and err.startswith("error:") and "T=" in err
+
+
 def test_custom_config_roundtrip(tmp_path, capsys):
     z, o = [0.0, 0.0], [1.0, 0.0]
     m = [[z, o, z], [[-1.0, 0.0], z, z], [z, z, z]]

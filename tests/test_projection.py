@@ -1,8 +1,11 @@
 """Projections, the pushed derivative field, and coefficient pullback."""
 
+import math
+
 import numpy as np
 import pytest
 
+from holoheis import projection
 from holoheis.group import GroupConfig, GroupElement, group_mul
 from holoheis.poly import Polynomial, parse_poly, lid
 from holoheis.fock import taylor
@@ -154,3 +157,110 @@ def test_projection_convergence_larger_group():
     totals = [r["total"] for r in rows]
     assert totals[-1] <= 1e-12
     assert all(a >= b - 1e-12 for a, b in zip(totals[:-1], totals[1:]))
+
+
+def test_projection_convergence_rejects_bad_T():
+    cfg = heis()
+    f = parse_poly(cfg, "w1*w2 + c1^2 - w2")
+    for T in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="T="):
+            projection_convergence(cfg, f, T)
+
+
+def sampled_group():
+    """k = 7 with a degree-4 form: the check set is a deterministic sample."""
+    k = 7
+    omega = np.zeros((1, k, k), complex)
+    for i in range(0, k - 1, 2):
+        omega[0, i, i + 1], omega[0, i + 1, i] = 1.0, -1.0
+    return GroupConfig(k, 1, omega)
+
+
+RICH = "w1^2*c1 + w2*c1 - w1*w2 + c1^2 + w2^3*w1"
+
+
+def route_b_cases():
+    cfg = heis()
+    f = parse_poly(cfg, RICH)
+    big = sampled_group()
+    return {
+        "coordinate": (Projection.coordinate(cfg, [0]), f),
+        "oblique": (Projection(cfg, np.array([[0.6, 0.8j]])), f),
+        "sampled": (
+            Projection.coordinate(big, [0, 2, 4]),
+            parse_poly(big, "w1*w2*w3*w7 + w4*c1 + c1^2 + w1*w2 + w3*w5 - w6 + w2 + c1"
+                       " + w7*w4 + w1*w3*w5"),
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", ["coordinate", "oblique", "sampled"])
+def test_pullback_builds_each_suffix_state_once(monkeypatch, case):
+    proj, f = route_b_cases()[case]
+    calls = {"coefficients": 0, "steps": 0}
+    checked = []
+    coefficients = projection._direction_coefficients
+    step = projection._kappa_step
+    check_tuples = projection._check_tuples
+
+    def counted_coefficients(*args):
+        calls["coefficients"] += 1
+        return coefficients(*args)
+
+    def counted_step(*args):
+        calls["steps"] += 1
+        return step(*args)
+
+    def recorded_tuples(*args):
+        checked.extend(check_tuples(*args))
+        return checked
+
+    monkeypatch.setattr(projection, "_direction_coefficients", counted_coefficients)
+    monkeypatch.setattr(projection, "_kappa_step", counted_step)
+    monkeypatch.setattr(projection, "_check_tuples", recorded_tuples)
+    pullback_taylor(proj, f)
+    suffixes = {t[j:] for t in checked for j in range(1, len(t))}
+    assert calls["coefficients"] == proj.config.n
+    assert calls["steps"] == len(suffixes) + len(checked)
+    if case == "sampled":
+        assert len(checked) < sum(proj.config.n**r for r in range(1, 5))
+
+
+@pytest.mark.parametrize("case", ["coordinate", "oblique", "sampled"])
+def test_route_b_equals_public_kappa_pairing(case):
+    proj, f = route_b_cases()[case]
+    cfg = proj.config
+    alpha = taylor(f)
+    tuples = projection._check_tuples(cfg, alpha.maxrank)
+    values = dict(projection._route_b(proj, alpha, tuples))
+    assert list(values) == tuples
+    for t in tuples:
+        kap = kappa(proj, [cfg.basis_direction(i) for i in reversed(t)])
+        expected = 0j
+        for r in range(1, kap.maxrank + 1):
+            for key, coeff in kap.ranks[r].items():
+                expected += coeff * alpha.entry(key)
+        assert values[t] == expected, t
+    assert sum(1 for v in values.values() if v != 0) >= 5
+
+
+def test_route_b_stays_independent_of_route_a(monkeypatch):
+    # a wrong central shift must surface as a route disagreement, which it
+    # could not if route b read its values from route a
+    cfg = heis()
+    proj = Projection.coordinate(cfg, [0])
+    f = parse_poly(cfg, RICH)
+    pullback_taylor(proj, f)
+    honest = projection._direction_coefficients
+
+    def doubled_shift(proj, h):
+        out = []
+        for l, coeff in honest(proj, h):
+            if l >= cfg.k:
+                coeff = 2 * coeff - coeff.constant_term()
+            out.append((l, coeff))
+        return out
+
+    monkeypatch.setattr(projection, "_direction_coefficients", doubled_shift)
+    with pytest.raises(AssertionError, match="routes disagree"):
+        pullback_taylor(proj, f)
