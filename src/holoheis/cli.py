@@ -420,29 +420,20 @@ def cmd_verify_all(config: GroupConfig, args) -> tuple[list[dict], list[str], in
 
     # gaussian moments of the flat part
     phi = rng.normal(size=config.k) + 1j * rng.normal(size=config.k)
-    for row in mc.gaussian_moment_check(
-        config, phi, mc.MCParams(1.0, 1, args.paths, seed + 4), workers
-    ):
+    gauss_params = mc.MCParams(1.0, 1, args.paths, seed + 4)
+    for row in mc.gaussian_moment_check(config, phi, gauss_params, workers):
         est = mc.MCEstimate(row["estimate"], row["stderr"], args.paths)
-        rows.append(
-            _mc_row(
-                f"gauss:{row['moment']}",
-                config,
-                mc.MCParams(1.0, 1, args.paths, seed + 4),
-                row["target"],
-                est,
-            )
-        )
+        rows.append(_mc_row(f"gauss:{row['moment']}", config, gauss_params, row["target"], est))
 
     # projection convergence endpoint
     table = projection_convergence(config, polys[0], T=1.0)
     rows.append(_exact_row("project:final", config, 0.0, table[-1]["total"], 1e-12))
 
-    # pointwise bounds mapped into the unified shape: estimate |f|, target bound
+    # pointwise bounds mapped into the unified shape: estimate |f|, target
+    # bound; both rows share the point h, so its distance bound is found once
+    d_up = distance_upper(config, h, segments=3, restarts=2, seed=seed + 5)
     for i in range(2):
-        f = polys[i]
-        d_up = distance_upper(config, h, segments=3, restarts=2, seed=seed + 5)
-        row = bargmann_check(config, f, h, 1.0, d_up=d_up)
+        row = bargmann_check(config, polys[i], h, 1.0, d_up=d_up)
         rows.append(_row(f"bounds:{i}", config, row["bound"], row["value"], row["pass"],
                          T=1.0, seed=seed + 5))
 

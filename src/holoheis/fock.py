@@ -200,8 +200,8 @@ def inverse_taylor(alpha: FockTensor) -> Polynomial:
 
 def fock_norm_sq(alpha: FockTensor, T: float) -> float:
     """sum_n (T^n / n!) * sum_tuples |<alpha_n, .>|^2."""
-    if T <= 0:
-        raise ValueError(f"fock_norm_sq requires T > 0, got {T}")
+    if not math.isfinite(T) or T <= 0:
+        raise ValueError(f"fock_norm_sq requires a finite T > 0, got T={T}")
     total = 0.0
     for n, component in enumerate(alpha.ranks):
         if component:
@@ -214,8 +214,8 @@ def fock_norm_sq(alpha: FockTensor, T: float) -> float:
 def fock_inner(alpha: FockTensor, beta: FockTensor, T: float) -> complex:
     """sum_n (T^n / n!) * sum_tuples alpha_n conj(beta_n); matches fock_norm_sq
     on the diagonal."""
-    if T <= 0:
-        raise ValueError(f"fock_inner requires T > 0, got {T}")
+    if not math.isfinite(T) or T <= 0:
+        raise ValueError(f"fock_inner requires a finite T > 0, got T={T}")
     total = 0j
     top = min(alpha.maxrank, beta.maxrank)
     for n in range(top + 1):

@@ -132,8 +132,8 @@ def bargmann_check(
     distance replaced by its upper bound. Returns the comparison row."""
     if not f.is_holomorphic():
         raise ValueError("pointwise bounds apply to holomorphic polynomials")
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not math.isfinite(T) or T <= 0:
+        raise ValueError(f"T must be finite and positive, got T={T}")
     if d_up is None:
         d_up = distance_upper(config, h, **dist_kwargs)
     norm_sq = heat_expectation(f.abs_sq(), T).real
@@ -168,10 +168,10 @@ def gaussian_bound_check(
     """
     if not f.is_holomorphic():
         raise ValueError("pointwise bounds apply to holomorphic polynomials")
-    if p <= 1:
-        raise ValueError("p must exceed 1")
-    if T <= 0:
-        raise ValueError("T must be positive")
+    if not math.isfinite(p) or p <= 1:
+        raise ValueError(f"p must be finite and exceed 1, got p={p}")
+    if not math.isfinite(T) or T <= 0:
+        raise ValueError(f"T must be finite and positive, got T={T}")
     if d_up is None:
         d_up = distance_upper(config, h, **dist_kwargs)
     if p == 2.0:

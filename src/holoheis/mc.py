@@ -116,7 +116,7 @@ class BrownianPath:
 
 class GroupPath:
     """Group-valued path: w equals the sampled B, c carries the left-point
-    Ito area sum c(t) = B0(t) + (1/2) sum_i omega(B(t_i), dB_i)."""
+    Ito area sum, c(t_j) = sum_{i<j} (dB0_i + (1/2) omega(B(t_i), dB_i))."""
 
     __slots__ = ("config", "times", "W", "C")
 
@@ -189,32 +189,42 @@ def sample_path(config: GroupConfig, params: MCParams, path_index: int) -> Brown
     return BrownianPath(config, params, inc)
 
 
-def group_path(config: GroupConfig, b: BrownianPath) -> GroupPath:
-    k = config.k
-    dW = b.increments[:, :k]
-    Bprev = b.B[:-1]
-    area = np.einsum("si,mij,sj->sm", Bprev, config.omega, dW)
-    C = b.B0.copy()
-    C[1:] += 0.5 * np.cumsum(area, axis=0)
-    return GroupPath(config, b.times, b.B.copy(), C)
+def _group_paths(config: GroupConfig, inc: np.ndarray):
+    """Group Brownian paths on the whole grid from a batch of increments of
+    shape (count, steps, n): W of shape (count, steps+1, k) and C of shape
+    (count, steps+1, d), each with an exact zero row at t = 0.
 
-
-def _terminal(config: GroupConfig, inc: np.ndarray):
-    """Terminal (W, C) of the group Brownian motion from a batch of
-    increments of shape (count, steps, n)."""
+    The path is the left product of its increments under the group law,
+    g(t_{s+1}) = g(t_s) . (dW_s, dC_s), so W is the cumulative sum of dW and
+    C the cumulative sum of dC_s + (1/2) omega(W_s, dW_s). The area term is
+    added one Omega_m at a time (one matmul, one two-operand einsum), which
+    keeps the temporaries to one (count, steps, k) array; C then takes one
+    cumulative sum. Every estimator that reads the group path builds it here.
+    """
+    count, steps, _ = inc.shape
     k = config.k
     dW = inc[:, :, :k]
-    B = np.cumsum(dW, axis=1)
-    Bprev = np.concatenate([np.zeros((inc.shape[0], 1, k), complex), B[:, :-1]], axis=1)
-    area = np.einsum("psi,mij,psj->pm", Bprev, config.omega, dW)
-    W_T = B[:, -1].copy()
-    C_T = inc[:, :, k:].sum(axis=1) + 0.5 * area
-    return W_T, C_T
+    W = np.zeros((count, steps + 1, k), complex)
+    np.cumsum(dW, axis=1, out=W[:, 1:])
+    C = np.zeros((count, steps + 1, config.d), complex)
+    dC = C[:, 1:]
+    dC[...] = inc[:, :, k:]
+    for m, om in enumerate(config.omega):
+        dC[:, :, m] += 0.5 * np.einsum("psj,psj->ps", W[:, :-1] @ om, dW)
+    np.cumsum(dC, axis=1, out=dC)
+    return W, C
+
+
+def group_path(config: GroupConfig, b: BrownianPath) -> GroupPath:
+    """The group-valued path of one sampled path, on its whole grid."""
+    W, C = _group_paths(config, b.increments[None])
+    return GroupPath(config, b.times, W[0], C[0])
 
 
 def _terminal_batch(config: GroupConfig, params: MCParams, start: int, count: int):
     """Terminal (W, C) of the group Brownian motion for one batch of paths."""
-    return _terminal(config, _increment_batch(config, params, start, count))
+    W, C = _group_paths(config, _increment_batch(config, params, start, count))
+    return W[:, -1], C[:, -1]
 
 
 class _Kahan:
@@ -343,17 +353,8 @@ def heat_mc_grid(
     idx = np.arange(0, params.steps + 1, stride)
 
     def batch(start, count):
-        inc = _increment_batch(config, params, start, count)
-        k = config.k
-        dW = inc[:, :, :k]
-        B = np.concatenate([np.zeros((count, 1, k), complex), np.cumsum(dW, axis=1)], axis=1)
-        area = np.einsum("psi,mij,psj->psm", B[:, :-1], config.omega, dW)
-        C = np.concatenate(
-            [np.zeros((count, 1, config.d), complex), np.cumsum(inc[:, :, k:], axis=1)],
-            axis=1,
-        )
-        C[:, 1:] += 0.5 * np.cumsum(area, axis=1)
-        return np.stack([f.eval_batch(B[:, i], C[:, i]) for i in idx], axis=1)
+        W, C = _group_paths(config, _increment_batch(config, params, start, count))
+        return np.stack([f.eval_batch(W[:, i], C[:, i]) for i in idx], axis=1)
 
     return idx * params.dt, _sample_means(params, workers, batch)
 
@@ -482,8 +483,10 @@ def chaos_residual(
 
     def batch(start, count):
         inc = _increment_batch(config, params, start, count)
-        direct = f.eval_batch(*_terminal(config, inc))
+        # pairings first: their temporaries are freed before the paths exist
         paired = _pairings([alpha], inc)[:, 0]
+        W, C = _group_paths(config, inc)
+        direct = f.eval_batch(W[:, -1], C[:, -1])
         return (np.abs(direct - paired) ** 2).astype(complex)[:, None]
 
     return _sample_means(params, workers, batch)[0]

@@ -474,8 +474,8 @@ def heat_expectation(F: Polynomial, T: float) -> complex:
     a finite sum because L lowers graded degree by 2 per application. Serves
     as the exact oracle that every Monte Carlo estimate is judged against.
     """
-    if T <= 0:
-        raise ValueError(f"heat_expectation requires T > 0, got {T}")
+    if not math.isfinite(T) or T <= 0:
+        raise ValueError(f"heat_expectation requires a finite T > 0, got T={T}")
     total = 0j
     cur = F
     m = 0

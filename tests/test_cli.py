@@ -120,6 +120,30 @@ def test_project_bad_T_exits_2(capsys):
         assert out == "" and err.startswith("error:") and "T=" in err
 
 
+def test_isometry_non_finite_T_exits_2(capsys):
+    for T in ("nan", "inf"):
+        argv = ["isometry", "--poly", "w1*c1", "--T", T, "--paths", "0"]
+        code, out, err = run(capsys, argv)
+        assert code == 2, T
+        assert out == "" and err.startswith("error:") and f"T={T}" in err
+
+
+def test_verify_all_finds_the_distance_bound_once(monkeypatch, capsys):
+    # both bounds rows share one point, so one optimizer run serves them
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    real = cli.distance_upper
+    monkeypatch.setattr(cli, "distance_upper", counted)
+    code, out, _ = run(capsys, ["verify-all", "--paths", "500", "--seed", "3"])
+    rows = [l for l in body(out).splitlines() if l.startswith("bounds:")]
+    assert code == 0 and len(rows) == 2
+    assert calls == [dict(segments=3, restarts=2, seed=8)]
+
+
 def test_custom_config_roundtrip(tmp_path, capsys):
     z, o = [0.0, 0.0], [1.0, 0.0]
     m = [[z, o, z], [[-1.0, 0.0], z, z], [z, z, z]]

@@ -99,6 +99,19 @@ def test_fock_inner_polarizes_norm():
     assert fock_inner(af, ag, T) == pytest.approx(np.conj(swapped), rel=1e-11)
 
 
+@pytest.mark.parametrize("T", [float("nan"), float("inf")])
+def test_fock_norms_reject_non_finite_time_by_name(T):
+    cfg = heis()
+    alpha = taylor(parse_poly(cfg, "w1*c1 + 2"))
+    cases = [
+        ("fock_norm_sq", lambda: fock_norm_sq(alpha, T)),
+        ("fock_inner", lambda: fock_inner(alpha, alpha, T)),
+    ]
+    for name, call in cases:
+        with pytest.raises(ValueError, match=rf"{name} requires a finite T > 0, got T={T}"):
+            call()
+
+
 def test_j0_residual_reference_values():
     cfg = heis()
     assert j0_residual(taylor(parse_poly(cfg, "c1"))) == pytest.approx(0.0, abs=1e-12)

@@ -135,6 +135,28 @@ def test_bargmann_rejects_bad_inputs():
         bargmann_check(cfg, parse_poly(cfg, "w1"), h, T=0.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_bounds_reject_non_finite_T_and_p_by_name(bad):
+    # d_up is given, so nothing reaches the optimizer
+    cfg = heis()
+    f = parse_poly(cfg, "w1*c1 - 1")
+    h = elem(cfg, [0.4, 0.1], [0.2j])
+    params = MCParams(T=1.0, steps=4, paths=10, seed=0)
+    cases = [
+        (rf"T must be finite and positive, got T={bad}",
+         lambda: bargmann_check(cfg, f, h, T=bad, d_up=0.5)),
+        (rf"T must be finite and positive, got T={bad}",
+         lambda: gaussian_bound_check(cfg, f, h, T=bad, d_up=0.5)),
+        (rf"p must be finite and exceed 1, got p={bad}",
+         lambda: gaussian_bound_check(cfg, f, h, T=1.0, p=bad, d_up=0.5)),
+        (rf"p must be finite and exceed 1, got p={bad}",
+         lambda: gaussian_bound_check(cfg, f, h, T=1.0, p=bad, params=params, d_up=0.5)),
+    ]
+    for pattern, call in cases:
+        with pytest.raises(ValueError, match=pattern):
+            call()
+
+
 def test_gaussian_bound_exact_p2():
     cfg = heis()
     f = parse_poly(cfg, "w1*c1 - 1")

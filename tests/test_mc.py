@@ -5,7 +5,7 @@ import gc
 import numpy as np
 import pytest
 
-from holoheis.group import GroupConfig, GroupElement
+from holoheis.group import GroupConfig, GroupElement, group_mul
 from holoheis.poly import parse_poly, heat_expectation
 from holoheis.fock import FockTensor, taylor
 from holoheis import mc
@@ -92,14 +92,43 @@ def test_increment_normalization():
     assert abs(np.mean(inc)) <= 3 * np.sqrt(dt / 2 / inc.size)
 
 
-def test_group_path_matches_terminal_batch():
-    cfg = heis()
-    params = mc.MCParams(T=1.0, steps=64, paths=3, seed=9)
-    W, C = mc._terminal_batch(cfg, params, 0, 3)
-    for i in range(3):
-        g = mc.group_path(cfg, mc.sample_path(cfg, params, i)).terminal()
-        assert np.allclose(g.w, W[i], atol=1e-14)
-        assert np.allclose(g.c, C[i], atol=1e-14)
+def group_mul_fold(cfg, inc):
+    """Reference path: the left product of the increments (dW_s, dC_s) as
+    group elements, g(t_{s+1}) = g(t_s) . (dW_s, dC_s), at every grid point."""
+    g = cfg.identity()
+    Ws, Cs = [g.w], [g.c]
+    for db in inc:
+        g = group_mul(g, GroupElement(cfg, db[: cfg.k], db[cfg.k:]))
+        Ws.append(g.w)
+        Cs.append(g.c)
+    return np.array(Ws), np.array(Cs)
+
+
+@pytest.mark.parametrize("form", ["reference", "random_k3_d2"])
+def test_group_paths_match_group_mul_fold(form):
+    # the one builder, for a single path and for a batch that starts inside
+    # the stream, against an independent fold of the group law
+    if form == "reference":
+        cfg = heis()
+    else:
+        rng = np.random.default_rng(21)
+        raw = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+        cfg = GroupConfig(3, 2, raw - raw.transpose(0, 2, 1))
+    params = mc.MCParams(T=1.3, steps=64, paths=8, seed=9)
+    start, count = 5, 3
+    W, C = mc._group_paths(cfg, mc._increment_batch(cfg, params, start, count))
+    assert W.shape == (count, params.steps + 1, cfg.k)
+    assert C.shape == (count, params.steps + 1, cfg.d)
+    assert not W[:, 0].any() and not C[:, 0].any()
+    for j in range(count):
+        b = mc.sample_path(cfg, params, start + j)
+        ref_W, ref_C = group_mul_fold(cfg, b.increments)
+        atol = 1e-14 * max(1.0, np.abs(ref_W).max(), np.abs(ref_C).max())
+        single = mc.group_path(cfg, b)
+        assert np.array_equal(single.times, b.times)
+        for got_W, got_C in ((W[j], C[j]), (single.W, single.C)):
+            np.testing.assert_allclose(got_W, ref_W, rtol=0, atol=atol)
+            np.testing.assert_allclose(got_C, ref_C, rtol=0, atol=atol)
 
 
 def test_heat_mc_hits_exact_expectation():
@@ -156,6 +185,28 @@ def test_heat_mc_grid_is_flat_for_holomorphic():
     assert ests[0].mean == target and ests[0].stderr == 0.0
     for est in ests[1:]:
         assert est.within(target)
+
+
+@pytest.mark.parametrize("estimator", ["heat_mc_grid", "skeleton_sweep", "lp_norm_mc"])
+def test_path_estimators_bit_identical_across_workers(monkeypatch, estimator):
+    # small batches, so the paths span several of them and the worker
+    # counts split the batches differently
+    monkeypatch.setattr(mc, "BATCH", 64)
+    cfg = heis()
+    params = mc.MCParams(T=1.0, steps=8, paths=300, seed=19)
+    f = parse_poly(cfg, "w1^2*c1 + w2 - c1^2")
+    h = GroupElement(cfg, np.array([0.3, -0.2j]), np.array([0.1 + 0.4j]))
+
+    def run(workers):
+        if estimator == "heat_mc_grid":
+            return mc.heat_mc_grid(cfg, f, params, stride=2, workers=workers)[1]
+        if estimator == "skeleton_sweep":
+            return mc.skeleton_sweep(cfg, [(f, h), (f, cfg.identity())], params, workers)
+        return [mc.lp_norm_mc(cfg, f, 3.0, params, workers)]
+
+    one, three = run(1), run(3)
+    assert len(mc._batch_ranges(params.paths)) == 5
+    assert [(e.mean, e.stderr) for e in one] == [(e.mean, e.stderr) for e in three]
 
 
 def test_iterated_integrals_low_rank_exact():

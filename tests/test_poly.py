@@ -228,6 +228,14 @@ def test_heat_expectation_requires_positive_time():
         heat_expectation(parse_poly(cfg, "w1*wbar1"), 0.0)
 
 
+@pytest.mark.parametrize("T", [float("nan"), float("inf")])
+def test_heat_expectation_rejects_non_finite_time_by_name(T):
+    cfg = heis()
+    for text in ("w1*wbar1", "c1", "2"):
+        with pytest.raises(ValueError, match=rf"finite T > 0, got T={T}"):
+            heat_expectation(parse_poly(cfg, text), T)
+
+
 @settings(max_examples=30, deadline=None)
 @given(t=st.floats(min_value=0.05, max_value=3.0))
 def test_heat_expectation_scales_in_time(t):
