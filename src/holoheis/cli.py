@@ -338,9 +338,9 @@ def cmd_verify_all(config: GroupConfig, args) -> tuple[list[dict], list[str], in
     # exact layer: norm identity, tensor relations, truncation invariants
     for i, f in enumerate(polys):
         exact = heat_expectation(f.abs_sq(), 1.0).real
-        fock = fock_norm_sq(taylor(f), 1.0)
-        rows.append(_exact_row(f"isometry:exact:{i}", config, exact, fock, 1e-9, T=1.0))
         alpha = taylor(f)
+        fock = fock_norm_sq(alpha, 1.0)
+        rows.append(_exact_row(f"isometry:exact:{i}", config, exact, fock, 1e-9, T=1.0))
         rows.append(_exact_row(f"j0:{i}", config, 0.0, j0_residual(alpha), 1e-10))
         rot = grading_pullback(alpha, 0.7)
         rows.append(

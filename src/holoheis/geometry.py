@@ -11,6 +11,7 @@ overestimating the distance only loosens them.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -20,7 +21,6 @@ from .poly import Polynomial, heat_expectation
 from .mc import MCParams, lp_norm_mc
 
 __all__ = [
-    "CMPath",
     "path_length",
     "distance_upper",
     "c_factor",
@@ -29,30 +29,16 @@ __all__ = [
 ]
 
 
-class CMPath:
-    """Piecewise chart-linear path through the group."""
-
-    __slots__ = ("config", "points")
-
-    def __init__(self, config: GroupConfig, points: list[GroupElement]):
-        if len(points) < 2:
-            raise ValueError("a path needs at least two points")
-        self.config = config
-        self.points = list(points)
-
-    def length(self) -> float:
-        return path_length(self.config, self.points)
-
-
-def path_length(config: GroupConfig, points) -> float:
+def path_length(config: GroupConfig, points: Sequence[GroupElement]) -> float:
     """Left-invariant length of the chart-linear path through the points.
 
     On a segment w(t) = w_s + t dw the speed |(dw, dc - omega(w(t), dw)/2)|
     is constant, since omega(dw, dw) = 0; the length is the sum of
-    sqrt(|dw|^2 + |dc - omega(w_s, dw)/2|^2) over the segments.
+    sqrt(|dw|^2 + |dc - omega(w_s, dw)/2|^2) over the segments. A path needs
+    at least two points.
     """
-    if isinstance(points, CMPath):
-        points = points.points
+    if len(points) < 2:
+        raise ValueError(f"a path needs at least two points, got {len(points)}")
     return _length(config, np.array([p.w for p in points]), np.array([p.c for p in points]))
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -25,7 +26,6 @@ __all__ = [
     "bracket",
     "omega_uniform_norm",
     "k_omega",
-    "rho_sq",
 ]
 
 SKEW_TOL = 1e-12
@@ -79,9 +79,6 @@ class GroupConfig:
 
     def identity(self) -> "GroupElement":
         return GroupElement(self, np.zeros(self.k, complex), np.zeros(self.d, complex))
-
-    def element(self, w, c) -> "GroupElement":
-        return GroupElement(self, w, c)
 
     def basis_direction(self, index: int) -> "GroupElement":
         """Basis element of the algebra: [0,k) are (e_j, 0), [k, k+d) are (0, f_m)."""
@@ -169,10 +166,6 @@ class GroupElement:
     def scale(self, t: complex) -> "GroupElement":
         return GroupElement(self.config, t * self.w, t * self.c)
 
-    def add(self, other: "GroupElement") -> "GroupElement":
-        _check_same_config(self, other)
-        return GroupElement(self.config, self.w + other.w, self.c + other.c)
-
     def close_to(self, other: "GroupElement", tol: float = 1e-12) -> bool:
         return (
             float(np.max(np.abs(self.w - other.w), initial=0.0)) <= tol
@@ -214,44 +207,15 @@ def bracket(h1: GroupElement, h2: GroupElement) -> GroupElement:
     return GroupElement(cfg, np.zeros(cfg.k, complex), cfg.omega_form(h1.w, h2.w))
 
 
-def rho_sq(g: GroupElement) -> float:
-    """||w||^2 + ||c|| -- the center enters at the first power of its norm."""
-    return float(np.sum(np.abs(g.w) ** 2) + np.sqrt(np.sum(np.abs(g.c) ** 2)))
+def omega_uniform_norm(config: GroupConfig) -> float:
+    """Bound on ||omega(w1, w2)||_C over unit w1, w2: sqrt(-k_omega).
 
-
-def omega_uniform_norm(config: GroupConfig, restarts: int = 32, seed: int = 0) -> float:
-    """sup{ ||omega(w1,w2)||_C : ||w1|| = ||w2|| = 1 }.
-
-    For d = 1 this is the largest singular value of Omega_1, computed exactly.
-    For d > 1 the bilinear maximization is nonconvex; alternating maximization
-    over unit vectors from `restarts` random starts reports the best value
-    found, a certified lower bound.
+    For d = 1 this is the sup itself, the largest singular value of Omega_1.
+    For d > 1 it is an upper bound: ||omega(w1, w2)||^2 = sum_m |w1^T Omega_m w2|^2
+    <= w2^dagger (sum_m Omega_m^dagger Omega_m) w2 <= lambda_max. Overestimating
+    is the sound direction: a radius sigma T < pi taken from it is conservative.
     """
-    if config.d == 1:
-        return float(np.linalg.svd(config.omega[0], compute_uv=False)[0])
-
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], np.uint64)))
-    best = 0.0
-    for _ in range(restarts):
-        w1 = rng.standard_normal(config.k) + 1j * rng.standard_normal(config.k)
-        w1 /= np.linalg.norm(w1)
-        val = 0.0
-        for _ in range(200):
-            # fix w1: omega(w1, .) is the d x k matrix with rows (Omega_m^T w1)^T
-            mat = np.einsum("i,mij->mj", w1, config.omega)
-            _, s, vh = np.linalg.svd(mat)
-            w2 = vh[0].conj()
-            # fix w2 and flip roles (antisymmetry keeps the value)
-            mat = np.einsum("j,mij->mi", w2, config.omega)
-            _, s2, vh2 = np.linalg.svd(mat)
-            w1_new = vh2[0].conj()
-            new_val = float(s2[0])
-            if abs(new_val - val) <= 1e-13 * max(1.0, new_val):
-                val = new_val
-                break
-            w1, val = w1_new, new_val
-        best = max(best, val)
-    return best
+    return math.sqrt(max(0.0, -k_omega(config)))
 
 
 def k_omega(config: GroupConfig) -> float:

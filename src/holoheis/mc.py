@@ -103,16 +103,6 @@ class BrownianPath:
         self.values = values
         self.increments = increments
 
-    @property
-    def B(self) -> np.ndarray:
-        """W-component of the path, shape (steps+1, k)."""
-        return self.values[:, : self.config.k]
-
-    @property
-    def B0(self) -> np.ndarray:
-        """Central component before the area correction, shape (steps+1, d)."""
-        return self.values[:, self.config.k:]
-
 
 class GroupPath:
     """Group-valued path: w equals the sampled B, c carries the left-point

@@ -124,11 +124,6 @@ class Polynomial:
     def constant_term(self) -> complex:
         return self.terms.get(self._zero_key(self.config), 0j)
 
-    def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(key) for key in self.terms)
-
     def graded_degree(self) -> int:
         """Total degree with w, wbar weighted 1 and c, cbar weighted 2."""
         if not self.terms:
@@ -215,16 +210,7 @@ class Polynomial:
     # -- evaluation --------------------------------------------------------------
 
     def eval(self, g: GroupElement) -> complex:
-        coords = np.concatenate([g.w, g.c])
-        values = np.concatenate([coords, coords.conj()])
-        total = 0j
-        for key, coeff in self.terms.items():
-            term = coeff
-            for e, z in zip(key, values):
-                if e:
-                    term *= z**e
-            total += term
-        return total
+        return complex(self.eval_batch(g.w[None], g.c[None])[0])
 
     def eval_batch(self, W: np.ndarray, C: np.ndarray) -> np.ndarray:
         """Evaluate on stacked points: W is (n, k), C is (n, d); returns (n,)."""

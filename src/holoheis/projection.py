@@ -17,7 +17,7 @@ import numpy as np
 
 from .group import GroupConfig, GroupElement
 from .poly import CLEANUP_TOL, Polynomial, lid
-from .fock import FockTensor, taylor
+from .fock import FockTensor, fock_norm_sq, taylor
 
 __all__ = [
     "Projection",
@@ -334,18 +334,12 @@ def projection_convergence(
         pulled = _checked_pullback(proj, f, alpha, alpha.maxrank)
         diff = pulled.sub(alpha)
         gaps = [diff.rank_norm_sq(r) ** 0.5 for r in range(diff.maxrank + 1)]
-        total_sq = 0.0
-        fact = 1.0
-        for r, g in enumerate(gaps):
-            if r > 0:
-                fact *= r
-            total_sq += T**r / fact * g * g
         rows.append(
             {
                 "N": N,
                 "dim": proj.dim,
                 "rank_gaps": gaps,
-                "total": total_sq**0.5,
+                "total": fock_norm_sq(diff, T) ** 0.5,
             }
         )
     return rows

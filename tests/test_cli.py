@@ -144,6 +144,21 @@ def test_verify_all_finds_the_distance_bound_once(monkeypatch, capsys):
     assert calls == [dict(segments=3, restarts=2, seed=8)]
 
 
+def test_verify_all_builds_each_taylor_tensor_once(monkeypatch, capsys):
+    # three polynomials, and each one's tensor serves all four exact rows
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    real = cli.taylor
+    monkeypatch.setattr(cli, "taylor", counted)
+    code, _, _ = run(capsys, ["verify-all", "--paths", "500", "--seed", "3"])
+    assert code == 0
+    assert len(calls) == 3
+
+
 def test_custom_config_roundtrip(tmp_path, capsys):
     z, o = [0.0, 0.0], [1.0, 0.0]
     m = [[z, o, z], [[-1.0, 0.0], z, z], [z, z, z]]

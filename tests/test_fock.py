@@ -99,6 +99,27 @@ def test_fock_inner_polarizes_norm():
     assert fock_inner(af, ag, T) == pytest.approx(np.conj(swapped), rel=1e-11)
 
 
+@pytest.mark.parametrize("form", ["reference", "random_k3_d2"])
+def test_fock_inner_against_heat_oracle(form):
+    # the equivalence is unitary: <taylor f, taylor g>_T = E_T[f conj(g)]
+    rng = np.random.default_rng(3)
+    if form == "reference":
+        cfg = heis()
+    else:
+        raw = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+        cfg = GroupConfig(3, 2, raw - np.transpose(raw, (0, 2, 1)))
+    for _ in range(4):
+        f = random_holo(cfg, rng)
+        # share a part with f, so that no pair is orthogonal by grading
+        g = random_holo(cfg, rng) + (0.5 - 0.5j) * f
+        af, ag = taylor(f), taylor(g)
+        for T in (0.5, 1.0, 2.0):
+            lhs = fock_inner(af, ag, T)
+            rhs = heat_expectation(f * g.conj(), T)
+            assert abs(rhs) > 0.01
+            assert lhs == pytest.approx(rhs, rel=1e-11)
+
+
 @pytest.mark.parametrize("T", [float("nan"), float("inf")])
 def test_fock_norms_reject_non_finite_time_by_name(T):
     cfg = heis()

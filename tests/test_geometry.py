@@ -9,7 +9,6 @@ from holoheis.group import GroupConfig, GroupElement, group_inv, group_mul
 from holoheis.poly import parse_poly
 from holoheis.mc import MCParams
 from holoheis.geometry import (
-    CMPath,
     path_length,
     distance_upper,
     c_factor,
@@ -69,13 +68,17 @@ def test_length_invariant_under_splitting():
     assert one == pytest.approx(two, abs=1e-12)
 
 
-def test_cmpath_wraps_length():
+def test_path_length_of_two_points():
     cfg = heis()
     h = elem(cfg, [1.0, 0.0], [0.0])
-    path = CMPath(cfg, [cfg.identity(), h])
-    assert path.length() == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        CMPath(cfg, [cfg.identity()])
+    assert path_length(cfg, [cfg.identity(), h]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_path_length_rejects_fewer_than_two_points_by_count(count):
+    cfg = heis()
+    with pytest.raises(ValueError, match=f"at least two points, got {count}"):
+        path_length(cfg, [cfg.identity()] * count)
 
 
 def test_left_translation_changes_nothing_for_flat_paths():

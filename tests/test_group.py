@@ -1,4 +1,4 @@
-"""Group layer: multiplication, bracket, gauge, and the form constants."""
+"""Group layer: multiplication, bracket, and the form constants."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from holoheis.group import (
     group_mul,
     group_inv,
     bracket,
-    rho_sq,
     omega_uniform_norm,
     k_omega,
 )
@@ -101,12 +100,6 @@ def test_bracket_jacobi_trivial():
     assert np.all(bracket(bracket(a, b), c).w == 0)
 
 
-def test_rho_sq_values():
-    cfg = heis()
-    assert rho_sq(elem(cfg, [3, 4j], [2])) == pytest.approx(27.0, abs=1e-14)
-    assert rho_sq(elem(cfg, [0, 0], [-4])) == pytest.approx(4.0, abs=1e-14)
-
-
 def test_omega_form_bilinear_antisymmetric():
     cfg = heis()
     rng = np.random.default_rng(5)
@@ -133,6 +126,20 @@ def test_omega_uniform_norm_dominates_probes():
         wp /= np.linalg.norm(wp)
         best = max(best, float(np.linalg.norm(cfg.omega_form(w, wp))))
     assert val >= best - 1e-9
+
+
+@pytest.mark.parametrize("k,d", [(3, 2), (4, 2), (5, 3)])
+def test_omega_uniform_norm_is_the_k_omega_closed_form(k, d):
+    # d > 1: sqrt(lambda_max(sum_m Omega_m^dagger Omega_m)) bounds the sup from above
+    cfg = random_config(np.random.default_rng(10 + k + d), k, d)
+    assert omega_uniform_norm(cfg) == pytest.approx(np.sqrt(-k_omega(cfg)), rel=1e-13)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_omega_uniform_norm_is_the_top_singular_value_for_d1(k):
+    cfg = random_config(np.random.default_rng(20 + k), k, 1)
+    top = np.linalg.svd(cfg.omega[0], compute_uv=False)[0]
+    assert omega_uniform_norm(cfg) == pytest.approx(top, rel=1e-13)
 
 
 def test_k_omega_reference():

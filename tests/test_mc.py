@@ -218,7 +218,7 @@ def test_iterated_integrals_low_rank_exact():
     # M_2 antisymmetrized over the flat block reproduces the area sum
     area = np.einsum("mij,ij->m", cfg.omega, Ms[1][: cfg.k, : cfg.k])
     g = mc.group_path(cfg, b).terminal()
-    assert np.allclose(g.c, b.B0[-1] + 0.5 * area, atol=1e-13)
+    assert np.allclose(g.c, b.values[-1, cfg.k:] + 0.5 * area, atol=1e-13)
 
 
 def test_chaos_eval_exact_for_central_coordinate():
