@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .group import GroupConfig
-from .poly import CLEANUP_TOL, Polynomial, lid
+from .poly import CLEANUP_TOL, Polynomial, _basis_halves, _lid
 
 __all__ = [
     "FockTensor",
@@ -152,7 +152,7 @@ def taylor(f: Polynomial, maxrank: int | None = None) -> FockTensor:
         raise ValueError(
             f"maxrank {maxrank} below the graded degree {degree}; tail would be lost"
         )
-    basis = cfg.basis()
+    basis = _basis_halves(cfg)
     ranks: list[dict] = [{} for _ in range(maxrank + 1)]
     if abs(f.constant_term()) > CLEANUP_TOL:
         ranks[0][()] = f.constant_term()
@@ -161,7 +161,7 @@ def taylor(f: Polynomial, maxrank: int | None = None) -> FockTensor:
         extended: dict[tuple, Polynomial] = {}
         for key, chain in chains.items():
             for j, direction in enumerate(basis):
-                derived = lid(chain, direction)
+                derived = _lid(chain, direction)
                 if derived.is_zero():
                     continue
                 new_key = (j,) + key

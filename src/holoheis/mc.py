@@ -89,7 +89,7 @@ class BrownianPath:
     W part, the rest the central part. b(0) = 0.
     """
 
-    __slots__ = ("config", "params", "times", "values", "increments")
+    __slots__ = ("params", "times", "values", "increments")
 
     def __init__(self, config: GroupConfig, params: MCParams, increments: np.ndarray):
         values = np.vstack(
@@ -97,7 +97,6 @@ class BrownianPath:
         )
         values.flags.writeable = False
         increments.flags.writeable = False
-        self.config = config
         self.params = params
         self.times = np.linspace(0.0, params.T, params.steps + 1)
         self.values = values

@@ -409,6 +409,12 @@ def _halves(h: GroupElement) -> tuple[tuple, tuple]:
     )
 
 
+def _basis_halves(config: GroupConfig) -> list[tuple[tuple, tuple]]:
+    """`_halves` of the n basis directions, in index order; callers that
+    differentiate along the basis many times build these once."""
+    return [_halves(h) for h in config.basis()]
+
+
 def lid(f: Polynomial, h: GroupElement) -> Polynomial:
     """Left-invariant derivative of f along the direction h = (A, a).
 
@@ -421,11 +427,15 @@ def lid(f: Polynomial, h: GroupElement) -> Polynomial:
     with v(w) = a + omega(w, A)/2, a vector of degree-1 polynomials in w.
     Holomorphic f stays holomorphic (the conjugate half vanishes).
     """
-    n = f.config.n
-    hol, anti = _halves(h)
+    return _lid(f, _halves(h))
+
+
+def _lid(f: Polynomial, halves: tuple[tuple, tuple]) -> Polynomial:
+    """`lid` along the direction whose `_halves` are given."""
+    hol, anti = halves
     out: dict = {}
     _one_sided(f.terms, 0, *hol, out)
-    _one_sided(f.terms, n, *anti, out)
+    _one_sided(f.terms, f.config.n, *anti, out)
     return Polynomial._bounded(f.config, out)
 
 
@@ -444,8 +454,7 @@ def apply_L(F: Polynomial) -> Polynomial:
     """
     cfg = F.config
     out: dict = {}
-    for index in range(cfg.n):
-        hol, anti = _halves(cfg.basis_direction(index))
+    for hol, anti in _basis_halves(cfg):
         bar: dict = {}
         _one_sided(F.terms, cfg.n, *anti, bar)
         _one_sided(bar, 0, *hol, out)

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .group import GroupConfig, GroupElement
-from .poly import CLEANUP_TOL, Polynomial, lid
+from .poly import CLEANUP_TOL, Polynomial, _basis_halves, _halves, _lid
 from .fock import FockTensor, fock_norm_sq, taylor
 
 __all__ = [
@@ -178,11 +178,12 @@ def _direction_coefficients(
 
 
 def _kappa_step(
-    proj: Projection, state: dict[tuple, Polynomial], h: GroupElement, comps: list
+    state: dict[tuple, Polynomial], halves: tuple, comps: list
 ) -> dict[tuple, Polynomial]:
-    """One step of the kappa recursion along the raw direction h, whose pushed
-    components are comps = _direction_coefficients(proj, h). Returns a new
-    state; the given one is left as it is."""
+    """One step of the kappa recursion along the raw direction h, given by its
+    kernel arguments halves = _halves(h) and its pushed components
+    comps = _direction_coefficients(proj, h). Returns a new state; the given
+    one is left as it is."""
     new: dict[tuple, Polynomial] = {}
 
     def add(key: tuple, poly: Polynomial) -> None:
@@ -190,7 +191,7 @@ def _kappa_step(
         new[key] = poly if prev is None else prev + poly
 
     for key, poly in state.items():
-        dp = lid(poly, h)
+        dp = _lid(poly, halves)
         if not dp.is_zero():
             add(key, dp)
         for l, coeff in comps:
@@ -226,7 +227,7 @@ def kappa(proj: Projection, directions: list[GroupElement]) -> FockTensor:
     cfg = proj.config
     state: dict[tuple, Polynomial] = {(): Polynomial.constant(cfg, 1.0)}
     for h in directions:
-        state = _kappa_step(proj, state, h, _direction_coefficients(proj, h))
+        state = _kappa_step(state, _halves(h), _direction_coefficients(proj, h))
     return _state_tensor(cfg, state, len(directions))
 
 
@@ -266,12 +267,12 @@ def _route_b(proj: Projection, alpha: FockTensor, tuples: list[tuple]):
     the state of each t is paired and dropped at once.
     """
     cfg = proj.config
-    dirs = cfg.basis()
-    comps = [_direction_coefficients(proj, h) for h in dirs]
+    halves = _basis_halves(cfg)
+    comps = [_direction_coefficients(proj, h) for h in cfg.basis()]
     suffixes: dict[tuple, dict] = {(): {(): Polynomial.constant(cfg, 1.0)}}
 
     def step(t: tuple) -> dict:
-        return _kappa_step(proj, suffix_state(t[1:]), dirs[t[0]], comps[t[0]])
+        return _kappa_step(suffix_state(t[1:]), halves[t[0]], comps[t[0]])
 
     def suffix_state(s: tuple) -> dict:
         state = suffixes.get(s)

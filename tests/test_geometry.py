@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import check_grad, minimize
 
 from holoheis.group import GroupConfig, GroupElement, group_inv, group_mul
 from holoheis.poly import parse_poly
 from holoheis.mc import MCParams
+from holoheis import geometry
 from holoheis.geometry import (
     path_length,
     distance_upper,
@@ -117,6 +119,90 @@ def test_distance_upper_deterministic():
     a = distance_upper(cfg, h, segments=3, restarts=2, seed=5)
     b = distance_upper(cfg, h, segments=3, restarts=2, seed=5)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "kwargs, pattern",
+    [
+        (dict(segments=2.5), r"segments must be an integer >= 1, got segments=2\.5"),
+        (dict(segments=0), r"segments must be an integer >= 1, got segments=0"),
+        (dict(restarts=0), r"restarts must be an integer >= 1, got restarts=0"),
+        (dict(restarts=1.5), r"restarts must be an integer >= 1, got restarts=1\.5"),
+    ],
+    ids=["segments_2.5", "segments_0", "restarts_0", "restarts_1.5"],
+)
+def test_distance_upper_rejects_bad_counts_by_name(kwargs, pattern):
+    cfg = heis()
+    h = elem(cfg, [0.8, -0.4j], [0.3])
+    with pytest.raises(ValueError, match=pattern):
+        distance_upper(cfg, h, **kwargs)
+
+
+def random_form(seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    return GroupConfig(3, 2, raw - np.transpose(raw, (0, 2, 1)))
+
+
+@pytest.mark.parametrize("cfg", [heis(), random_form(11)], ids=["reference", "random_k3_d2"])
+def test_length_gradient_against_finite_differences(cfg):
+    rng = np.random.default_rng(12)
+    h = elem(cfg, rng.normal(size=cfg.k) + 1j * rng.normal(size=cfg.k),
+             rng.normal(size=cfg.d) + 1j * rng.normal(size=cfg.d))
+    for _ in range(3):
+        # three interior waypoints
+        x = rng.normal(size=3 * 2 * cfg.n)
+        length, grad = geometry._objective(x, cfg, h)
+        assert length == geometry._length(cfg, *geometry._waypoints(cfg, h, x))
+        err = check_grad(lambda y: geometry._objective(y, cfg, h)[0],
+                         lambda y: geometry._objective(y, cfg, h)[1], x)
+        assert err <= 1e-5 * np.linalg.norm(grad)
+
+
+def test_length_gradient_finite_at_coincident_waypoints():
+    cfg = random_form(13)
+    h = elem(cfg, [0.3, 0.5j, -0.2], [0.4, 0.1j])
+    hz = np.concatenate([h.w, h.c])
+    # interior waypoints 1 and 2 coincide, and waypoint 3 sits on h
+    z = np.stack([0.4 * hz, 0.4 * hz, hz])
+    length, grad = geometry._objective(np.concatenate([z.real, z.imag]).ravel(), cfg, h)
+    assert np.all(np.isfinite(grad))
+    assert length == pytest.approx(path_length(cfg, [cfg.identity(), h]), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "cfg, w, c, segments",
+    [
+        (heis(), [1.0, 1.0], [1.0], 3),
+        (heis(), [1.2, 0.3 - 0.3j], [0.9j], 3),
+        (random_form(4), [0.3, 0.5j, -0.2], [0.4, 0.1j], 2),
+        (random_form(4), [0.6, -0.1, 0.2j], [0.2 - 0.3j, 0.5], 3),
+    ],
+    ids=["reference_a", "reference_b", "random_k3_d2_a", "random_k3_d2_b"],
+)
+def test_distance_upper_converges_to_an_uncapped_nelder_mead(cfg, w, c, segments):
+    # an independent minimizer of the public path_length, from the same
+    # straight start, run until its simplex shrinks below 1e-12
+    h = elem(cfg, w, c)
+    hz = np.concatenate([h.w, h.c])
+
+    def length(x):
+        z = (x[: x.size // 2] + 1j * x[x.size // 2:]).reshape(-1, cfg.n)
+        inner = [elem(cfg, row[: cfg.k], row[cfg.k:]) for row in z]
+        return path_length(cfg, [cfg.identity(), *inner, h])
+
+    straight = np.concatenate([(i / segments) * hz for i in range(1, segments)])
+    res = minimize(
+        length,
+        np.concatenate([straight.real, straight.imag]),
+        method="Nelder-Mead",
+        options={"maxiter": 10**7, "maxfev": 10**7, "xatol": 1e-12, "fatol": 1e-15,
+                 "adaptive": True},
+    )
+    assert res.status == 0
+    d_up = distance_upper(cfg, h, segments=segments, restarts=1)
+    assert d_up == pytest.approx(res.fun, rel=1e-8)
+    assert float(np.linalg.norm(h.w)) <= d_up <= path_length(cfg, [cfg.identity(), h])
 
 
 def test_bargmann_check_row():
