@@ -31,14 +31,11 @@ __all__ = [
 class FockTensor:
     """Graded family (alpha_0, ..., alpha_N) of sparse basis-indexed tensors."""
 
-    __slots__ = ("config", "ranks", "maxrank")
+    __slots__ = ("config", "ranks")
 
-    def __init__(self, config: GroupConfig, ranks: list[dict], maxrank: int | None = None):
-        if maxrank is None:
-            maxrank = len(ranks) - 1
+    def __init__(self, config: GroupConfig, ranks: list[dict]):
         clean = []
-        for n in range(maxrank + 1):
-            component = ranks[n] if n < len(ranks) else {}
+        for n, component in enumerate(ranks):
             kept = {}
             for key, coeff in component.items():
                 if len(key) != n:
@@ -51,15 +48,15 @@ class FockTensor:
             clean.append(kept)
         self.config = config
         self.ranks = clean
-        self.maxrank = maxrank
 
-    @classmethod
-    def zero(cls, config: GroupConfig, maxrank: int = 0) -> "FockTensor":
-        return cls(config, [{} for _ in range(maxrank + 1)], maxrank)
+    @property
+    def maxrank(self) -> int:
+        """The top stored rank N, len(ranks) - 1."""
+        return len(self.ranks) - 1
 
     def entry(self, key: tuple) -> complex:
         n = len(key)
-        if n > self.maxrank:
+        if n >= len(self.ranks):
             return 0j
         return self.ranks[n].get(key, 0j)
 
@@ -82,7 +79,6 @@ class FockTensor:
         return FockTensor(
             self.config,
             [{k: z * v for k, v in comp.items()} for comp in self.ranks],
-            self.maxrank,
         )
 
     def add(self, other: "FockTensor") -> "FockTensor":
@@ -94,7 +90,7 @@ class FockTensor:
                 for key, v in other.ranks[n].items():
                     merged[key] = merged.get(key, 0j) + v
             ranks.append(merged)
-        return FockTensor(self.config, ranks, top)
+        return FockTensor(self.config, ranks)
 
     def sub(self, other: "FockTensor") -> "FockTensor":
         return self.add(other.scale(-1.0))
@@ -127,7 +123,7 @@ class FockTensor:
         ranks: list[dict] = [{} for _ in range(maxrank + 1)]
         for rank, key, (re, im) in records:
             ranks[int(rank)][tuple(int(i) for i in key)] = complex(re, im)
-        return cls(config, ranks, maxrank)
+        return cls(config, ranks)
 
     def __repr__(self) -> str:
         sizes = ",".join(str(len(c)) for c in self.ranks)
@@ -172,7 +168,7 @@ def taylor(f: Polynomial, maxrank: int | None = None) -> FockTensor:
         chains = extended
         if not chains:
             break
-    return FockTensor(cfg, ranks, maxrank)
+    return FockTensor(cfg, ranks)
 
 
 def inverse_taylor(alpha: FockTensor) -> Polynomial:
@@ -205,9 +201,7 @@ def fock_norm_sq(alpha: FockTensor, T: float) -> float:
     total = 0.0
     for n, component in enumerate(alpha.ranks):
         if component:
-            total += (T**n / math.factorial(n)) * sum(
-                abs(v) ** 2 for v in component.values()
-            )
+            total += (T**n / math.factorial(n)) * alpha.rank_norm_sq(n)
     return total
 
 
@@ -279,8 +273,19 @@ def j0_residual(alpha: FockTensor) -> float:
     return worst
 
 
-def _central_count(key: tuple, k: int) -> int:
-    return sum(1 for i in key if i >= k)
+def _reweigh(alpha: FockTensor, weight) -> FockTensor:
+    """Scale each entry by weight(l), l its homogeneous degree (rank plus
+    number of central indices); entries of weight 0 are dropped."""
+    k = alpha.config.k
+    ranks = []
+    for n, component in enumerate(alpha.ranks):
+        kept = {}
+        for key, coeff in component.items():
+            w = weight(n + sum(1 for i in key if i >= k))
+            if w != 0:
+                kept[key] = coeff * w
+        ranks.append(kept)
+    return FockTensor(alpha.config, ranks)
 
 
 def grading_pullback(alpha: FockTensor, theta: float) -> FockTensor:
@@ -288,17 +293,7 @@ def grading_pullback(alpha: FockTensor, theta: float) -> FockTensor:
     e^{2 i theta} a): a rank-n entry with j central indices picks up the
     phase e^{i theta (n + j)}. Unimodular weights, so every Fock norm is
     preserved."""
-    k = alpha.config.k
-    ranks = []
-    for n, component in enumerate(alpha.ranks):
-        ranks.append(
-            {
-                key: coeff * complex(math.cos(theta * (n + j)), math.sin(theta * (n + j)))
-                for key, coeff in component.items()
-                for j in (_central_count(key, k),)
-            }
-        )
-    return FockTensor(alpha.config, ranks, alpha.maxrank)
+    return _reweigh(alpha, lambda l: complex(math.cos(theta * l), math.sin(theta * l)))
 
 
 def fejer_truncate(alpha: FockTensor, n: int) -> FockTensor:
@@ -311,14 +306,4 @@ def fejer_truncate(alpha: FockTensor, n: int) -> FockTensor:
     """
     if n < 1:
         raise ValueError(f"fejer_truncate requires n >= 1, got {n}")
-    k = alpha.config.k
-    ranks = []
-    for r, component in enumerate(alpha.ranks):
-        kept = {}
-        for key, coeff in component.items():
-            degree = r + _central_count(key, k)
-            weight = max(0.0, 1.0 - degree / n)
-            if weight > 0.0:
-                kept[key] = coeff * weight
-        ranks.append(kept)
-    return FockTensor(alpha.config, ranks, alpha.maxrank)
+    return _reweigh(alpha, lambda l: max(0.0, 1.0 - l / n))

@@ -162,33 +162,42 @@ def c_factor(t: float) -> float:
     return t / math.expm1(t)
 
 
-def bargmann_check(
-    config: GroupConfig,
-    f: Polynomial,
-    h: GroupElement,
-    T: float,
-    d_up: float | None = None,
-    **dist_kwargs,
-) -> dict:
-    """Pointwise bound |f(h)| <= norm_T(f) * exp(d(h)^2 / (2T)) with the
-    distance replaced by its upper bound. Returns the comparison row."""
+def _check_bound_inputs(f: Polynomial, T: float) -> None:
     if not f.is_holomorphic():
         raise ValueError("pointwise bounds apply to holomorphic polynomials")
     if not math.isfinite(T) or T <= 0:
         raise ValueError(f"T must be finite and positive, got T={T}")
-    if d_up is None:
-        d_up = distance_upper(config, h, **dist_kwargs)
-    norm_sq = heat_expectation(f.abs_sq(), T).real
+
+
+def _heat_norm(f: Polynomial, T: float) -> float:
+    """The exact L^2(nu_T) norm of f, from the heat expectation of |f|^2."""
+    return math.sqrt(max(heat_expectation(f.abs_sq(), T).real, 0.0))
+
+
+def _bound_row(f: Polynomial, h: GroupElement, d_up: float, bound: float, **extra) -> dict:
+    """The comparison row of |f(h)| against a bound, with any extra columns."""
     value = float(abs(f.eval(h)))
-    bound = math.sqrt(max(norm_sq, 0.0)) * math.exp(d_up**2 / (2.0 * T))
     return {
         "point": h,
         "value": value,
         "bound": float(bound),
         "margin": float(bound - value),
         "d_upper": float(d_up),
+        **extra,
         "pass": bool(value <= bound * (1.0 + 1e-12) + 1e-15),
     }
+
+
+def bargmann_check(
+    config: GroupConfig, f: Polynomial, h: GroupElement, T: float, d_up: float
+) -> dict:
+    """Pointwise bound |f(h)| <= norm_T(f) * exp(d(h)^2 / (2T)) with the
+    distance replaced by its upper bound d_up (from `distance_upper`).
+    Returns the comparison row. The bound does not depend on the form, so
+    config is not read."""
+    _check_bound_inputs(f, T)
+    bound = _heat_norm(f, T) * math.exp(d_up**2 / (2.0 * T))
+    return _bound_row(f, h, d_up, bound)
 
 
 def gaussian_bound_check(
@@ -199,25 +208,21 @@ def gaussian_bound_check(
     p: float = 2.0,
     params: MCParams | None = None,
     workers: int = 1,
-    d_up: float | None = None,
-    **dist_kwargs,
+    *,
+    d_up: float,
 ) -> dict:
     """Gaussian-type bound |f(h)| <= ||f||_p * exp(c(k T/2) d(h)^2 / ((p-1) T))
-    with k the curvature constant of the form and d the distance upper bound.
+    with k the curvature constant of the form and d replaced by its upper
+    bound d_up (from `distance_upper`).
 
     ||f||_p is the p-th heat moment root: exact for p = 2, Monte Carlo from
     `params` otherwise.
     """
-    if not f.is_holomorphic():
-        raise ValueError("pointwise bounds apply to holomorphic polynomials")
+    _check_bound_inputs(f, T)
     if not math.isfinite(p) or p <= 1:
         raise ValueError(f"p must be finite and exceed 1, got p={p}")
-    if not math.isfinite(T) or T <= 0:
-        raise ValueError(f"T must be finite and positive, got T={T}")
-    if d_up is None:
-        d_up = distance_upper(config, h, **dist_kwargs)
     if p == 2.0:
-        norm_p = math.sqrt(max(heat_expectation(f.abs_sq(), T).real, 0.0))
+        norm_p = _heat_norm(f, T)
     else:
         if params is None:
             raise ValueError("p != 2 needs MC parameters for the norm")
@@ -225,14 +230,4 @@ def gaussian_bound_check(
         norm_p = max(est.mean.real, 0.0) ** (1.0 / p)
     kk = k_omega(config)
     factor = math.exp(c_factor(kk * T / 2.0) * d_up**2 / ((p - 1.0) * T))
-    value = float(abs(f.eval(h)))
-    bound = norm_p * factor
-    return {
-        "point": h,
-        "value": value,
-        "bound": float(bound),
-        "margin": float(bound - value),
-        "d_upper": float(d_up),
-        "p": p,
-        "pass": bool(value <= bound * (1.0 + 1e-12) + 1e-15),
-    }
+    return _bound_row(f, h, d_up, norm_p * factor, p=p)

@@ -176,11 +176,13 @@ class GroupElement:
         return f"GroupElement(w={self.w.tolist()}, c={self.c.tolist()})"
 
 
+def _same_config(a: GroupConfig, b: GroupConfig) -> bool:
+    """Whether two configurations describe the same group: equal k, d and omega."""
+    return a is b or (a.k == b.k and a.d == b.d and np.array_equal(a.omega, b.omega))
+
+
 def _check_same_config(a: GroupElement, b: GroupElement) -> None:
-    ca, cb = a.config, b.config
-    if ca is cb:
-        return
-    if ca.k != cb.k or ca.d != cb.d or not np.array_equal(ca.omega, cb.omega):
+    if not _same_config(a.config, b.config):
         raise ValueError("elements belong to different group configurations")
 
 

@@ -23,7 +23,7 @@ import re
 
 import numpy as np
 
-from .group import GroupConfig, GroupElement
+from .group import GroupConfig, GroupElement, _same_config
 
 __all__ = [
     "Polynomial",
@@ -135,11 +135,7 @@ class Polynomial:
     # -- ring operations --------------------------------------------------------
 
     def _require_same_config(self, other: "Polynomial") -> None:
-        if self.config is not other.config and (
-            self.config.k != other.config.k
-            or self.config.d != other.config.d
-            or not np.array_equal(self.config.omega, other.config.omega)
-        ):
+        if not _same_config(self.config, other.config):
             raise ValueError("polynomials belong to different group configurations")
 
     def __add__(self, other):

@@ -103,12 +103,7 @@ def k_p(proj: Projection, h: GroupElement, at: GroupElement) -> GroupElement:
     horizontal part; the central shift is what keeps the field left-invariant
     on the image side.
     """
-    cfg = proj.config
-    A, a = h.w, h.c
-    w = at.w
-    B = proj.apply(A)
-    b = a + 0.5 * (cfg.omega_form(w, A) - cfg.omega_form(proj.apply(w), B))
-    return GroupElement(cfg, B, b)
+    return GroupElement(proj.config, proj.apply(h.w), h.c + gamma_defect(proj, at.w, h.w))
 
 
 def compose_with_projection(proj: Projection, f: Polynomial) -> Polynomial:
@@ -263,25 +258,21 @@ def _route_b(proj: Projection, alpha: FockTensor, tuples: list[tuple]):
     tuple, where alpha = taylor(f).
 
     The kappa state of t is one step along t[0] from the state of its proper
-    suffix t[1:]. Suffix states are built once and kept for this call only;
-    the state of each t is paired and dropped at once.
+    suffix t[1:]. Missing suffix states are built shortest first and kept for
+    this call only; the state of each t is built afresh from its suffix,
+    paired and dropped at once.
     """
     cfg = proj.config
     halves = _basis_halves(cfg)
     comps = [_direction_coefficients(proj, h) for h in cfg.basis()]
     suffixes: dict[tuple, dict] = {(): {(): Polynomial.constant(cfg, 1.0)}}
-
-    def step(t: tuple) -> dict:
-        return _kappa_step(suffix_state(t[1:]), halves[t[0]], comps[t[0]])
-
-    def suffix_state(s: tuple) -> dict:
-        state = suffixes.get(s)
-        if state is None:
-            state = suffixes[s] = step(s)
-        return state
-
     for t in tuples:
-        yield t, _pair(_state_tensor(cfg, step(t), len(t)), alpha)
+        for j in range(len(t) - 1, 0, -1):
+            s = t[j:]
+            if s not in suffixes:
+                suffixes[s] = _kappa_step(suffixes[s[1:]], halves[s[0]], comps[s[0]])
+        state = _kappa_step(suffixes[t[1:]], halves[t[0]], comps[t[0]])
+        yield t, _pair(_state_tensor(cfg, state, len(t)), alpha)
 
 
 def _checked_pullback(

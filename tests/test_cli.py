@@ -120,6 +120,35 @@ def test_project_bad_T_exits_2(capsys):
         assert out == "" and err.startswith("error:") and "T=" in err
 
 
+@pytest.mark.parametrize(
+    "argv, escape, code",
+    [
+        # linear in w: both residuals are rounding noise, so their ratio is too
+        (["--poly", "w1 + 2*w2 + 1", "--steps-list", "16,32", "--paths", "200"], True, 0),
+        (["--poly", "w1^2 + w1*c1", "--steps-list", "32,64", "--paths", "400", "--seed", "2"],
+         False, 0),
+        (["--poly", "w1^2", "--steps-list", "8,16", "--paths", "20", "--seed", "1"], False, 1),
+    ],
+    ids=["linear", "quadratic", "too_few_paths"],
+)
+def test_chaos_ratio_rows_and_exit(capsys, argv, escape, code):
+    got, out, err = run(capsys, ["chaos"] + argv)
+    assert got == code and err == ""
+    lines = body(out).splitlines()
+    assert lines[0] == ",".join(cli.UNIFIED_COLUMNS)
+    coarse, fine, ratio = (dict(zip(cli.UNIFIED_COLUMNS, l.split(","))) for l in lines[1:])
+    assert coarse["experiment"] == fine["experiment"] == "chaos:residual"
+    assert ratio["experiment"] == "chaos:ratio" and ratio["target"] == "2.0"
+    value = float(ratio["estimate_re"])
+    assert value == float(coarse["estimate_re"]) / float(fine["estimate_re"])
+    assert ratio["pass"] == str(code == 0)
+    in_band = 1.4 <= value <= 2.8
+    if escape:
+        assert float(coarse["estimate_re"]) <= 1e-20 and not in_band
+    else:
+        assert in_band == (code == 0)
+
+
 def test_isometry_non_finite_T_exits_2(capsys):
     for T in ("nan", "inf"):
         argv = ["isometry", "--poly", "w1*c1", "--T", T, "--paths", "0"]

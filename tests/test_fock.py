@@ -205,3 +205,14 @@ def test_records_roundtrip():
     alpha = taylor(parse_poly(cfg, "w1*c1 + w2^2"))
     again = FockTensor.from_records(cfg, alpha.to_records())
     assert again.close_to(alpha, 1e-14)
+
+
+def test_maxrank_is_the_stored_rank_count():
+    cfg = heis()
+    alpha = FockTensor(cfg, [{}, {(0,): 1}, {(0, 0): 2}])
+    assert alpha.maxrank == 2 and alpha.entry((0, 0)) == 2
+    assert alpha.entry((0, 0, 0)) == 0
+    with pytest.raises(AttributeError):
+        alpha.maxrank = 1
+    with pytest.raises(TypeError):
+        FockTensor(cfg, [{}, {(0,): 1}, {(0, 0): 2}], 1)

@@ -209,7 +209,7 @@ def test_bargmann_check_row():
     cfg = heis()
     f = parse_poly(cfg, "w1^2*c1 + 2*w2")
     h = elem(cfg, [0.5, 0.2j], [0.1 - 0.3j])
-    row = bargmann_check(cfg, f, h, T=1.0, segments=3, restarts=2)
+    row = bargmann_check(cfg, f, h, T=1.0, d_up=distance_upper(cfg, h, segments=3, restarts=2))
     assert row["pass"]
     assert row["margin"] == pytest.approx(row["bound"] - row["value"], abs=1e-12)
     assert row["value"] == pytest.approx(abs(f.eval(h)), abs=1e-12)
@@ -218,15 +218,15 @@ def test_bargmann_check_row():
 def test_bargmann_rejects_bad_inputs():
     cfg = heis()
     h = elem(cfg, [0.5, 0.0], [0.0])
+    d_up = distance_upper(cfg, h, segments=3, restarts=2)
     with pytest.raises(ValueError):
-        bargmann_check(cfg, parse_poly(cfg, "wbar1"), h, T=1.0)
+        bargmann_check(cfg, parse_poly(cfg, "wbar1"), h, T=1.0, d_up=d_up)
     with pytest.raises(ValueError):
-        bargmann_check(cfg, parse_poly(cfg, "w1"), h, T=0.0)
+        bargmann_check(cfg, parse_poly(cfg, "w1"), h, T=0.0, d_up=d_up)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_bounds_reject_non_finite_T_and_p_by_name(bad):
-    # d_up is given, so nothing reaches the optimizer
     cfg = heis()
     f = parse_poly(cfg, "w1*c1 - 1")
     h = elem(cfg, [0.4, 0.1], [0.2j])
@@ -250,7 +250,8 @@ def test_gaussian_bound_exact_p2():
     cfg = heis()
     f = parse_poly(cfg, "w1*c1 - 1")
     h = elem(cfg, [0.4, 0.1], [0.2j])
-    row = gaussian_bound_check(cfg, f, h, T=1.0, p=2.0, segments=3, restarts=2)
+    row = gaussian_bound_check(cfg, f, h, T=1.0, p=2.0,
+                               d_up=distance_upper(cfg, h, segments=3, restarts=2))
     assert row["pass"] and row["p"] == 2.0
 
 
@@ -259,9 +260,10 @@ def test_gaussian_bound_mc_p4():
     f = parse_poly(cfg, "w2^2 + c1")
     h = elem(cfg, [0.2, -0.3j], [0.1])
     params = MCParams(T=1.0, steps=64, paths=6000, seed=3)
-    row = gaussian_bound_check(cfg, f, h, T=1.0, p=4.0, params=params, segments=3, restarts=2)
+    d_up = distance_upper(cfg, h, segments=3, restarts=2)
+    row = gaussian_bound_check(cfg, f, h, T=1.0, p=4.0, params=params, d_up=d_up)
     assert row["pass"]
     with pytest.raises(ValueError):
-        gaussian_bound_check(cfg, f, h, T=1.0, p=4.0)  # no MC params
+        gaussian_bound_check(cfg, f, h, T=1.0, p=4.0, d_up=d_up)  # no MC params
     with pytest.raises(ValueError):
-        gaussian_bound_check(cfg, f, h, T=1.0, p=1.0)
+        gaussian_bound_check(cfg, f, h, T=1.0, p=1.0, d_up=d_up)

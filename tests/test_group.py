@@ -14,6 +14,7 @@ from holoheis.group import (
     omega_uniform_norm,
     k_omega,
 )
+from holoheis.poly import parse_poly
 
 SKEW = np.array([[[0.0, 1.0], [-1.0, 0.0]]], dtype=complex)
 
@@ -42,6 +43,19 @@ def test_rejects_non_skew_form():
 def test_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         GroupConfig(3, 1, SKEW)
+
+
+def test_equal_configs_mix_and_different_ones_raise():
+    # a separately built config with the same k, d and omega is the same group
+    twin = GroupConfig(2, 1, SKEW.copy())
+    g = elem(heis(), [0.3, 0.1j], [0.2])
+    assert group_mul(g, elem(twin, [0.1, 0.5], [0.0])).c[0] == pytest.approx(0.275 - 0.005j)
+    assert (parse_poly(heis(), "w1") + parse_poly(twin, "w2")).terms
+    other = GroupConfig(2, 1, 2.0 * SKEW)
+    with pytest.raises(ValueError, match="different group configurations"):
+        bracket(g, elem(other, [0.1, 0.5], [0.0]))
+    with pytest.raises(ValueError, match="different group configurations"):
+        parse_poly(heis(), "w1") * parse_poly(other, "w2")
 
 
 def test_mul_central_term():

@@ -1,5 +1,6 @@
 """Projections, the pushed derivative field, and coefficient pullback."""
 
+import gc
 import math
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 
 from holoheis import projection
 from holoheis.group import GroupConfig, GroupElement, group_mul
-from holoheis.poly import Polynomial, parse_poly, lid
+from holoheis.poly import Polynomial, parse_poly, lid, heat_expectation
 from holoheis.fock import taylor
+from holoheis.geometry import distance_upper
 from holoheis.projection import (
     Projection,
     pi_p,
@@ -264,3 +266,32 @@ def test_route_b_stays_independent_of_route_a(monkeypatch):
     monkeypatch.setattr(projection, "_direction_coefficients", doubled_shift)
     with pytest.raises(AssertionError, match="routes disagree"):
         pullback_taylor(proj, f)
+
+
+def test_exact_layer_leaves_no_reference_cycles():
+    # objects caught in a cycle live until the cyclic collector runs, so
+    # route b's suffix states must be freed by reference counting alone
+    cfg = heis()
+    f = parse_poly(cfg, RICH)
+    proj = Projection.coordinate(cfg, [0])
+    h = GroupElement(cfg, np.array([0.3, -0.2j]), np.array([0.1 + 0.4j]))
+    calls = [
+        lambda: pullback_taylor(proj, f),
+        lambda: projection_convergence(cfg, f, 1.0),
+        lambda: kappa(proj, [h, cfg.basis_direction(2), h]),
+        lambda: taylor(f),
+        lambda: heat_expectation(f.abs_sq(), 1.0),
+        lambda: distance_upper(cfg, h, segments=3, restarts=2),
+    ]
+    for call in calls:
+        call()  # warm-up: imports and caches settle outside the check
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for i, call in enumerate(calls):
+            call()
+            assert gc.collect() == 0, i
+    finally:
+        if was_enabled:
+            gc.enable()
