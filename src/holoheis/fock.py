@@ -34,6 +34,10 @@ class FockTensor:
     __slots__ = ("config", "ranks")
 
     def __init__(self, config: GroupConfig, ranks: list[dict]):
+        if not ranks:
+            raise ValueError(
+                "FockTensor: ranks must hold at least the rank-0 component, got empty ranks"
+            )
         clean = []
         for n, component in enumerate(ranks):
             kept = {}

@@ -216,9 +216,12 @@ def gaussian_bound_check(
     bound d_up (from `distance_upper`).
 
     ||f||_p is the p-th heat moment root: exact for p = 2, Monte Carlo from
-    `params` otherwise.
+    `params` otherwise. `params.T`, when given, must equal T: the norm and
+    the exponent are taken at one heat time.
     """
     _check_bound_inputs(f, T)
+    if params is not None and params.T != T:
+        raise ValueError(f"params.T={params.T} differs from the bound's T={T}")
     if not math.isfinite(p) or p <= 1:
         raise ValueError(f"p must be finite and exceed 1, got p={p}")
     if p == 2.0:

@@ -216,3 +216,15 @@ def test_maxrank_is_the_stored_rank_count():
         alpha.maxrank = 1
     with pytest.raises(TypeError):
         FockTensor(cfg, [{}, {(0,): 1}, {(0, 0): 2}], 1)
+
+
+def test_empty_ranks_rejected_by_name():
+    # an empty tensor would have maxrank -1 and no scalar; the zero tensor
+    # is [{}], which the records round trip keeps
+    cfg = heis()
+    with pytest.raises(ValueError, match="empty ranks"):
+        FockTensor(cfg, [])
+    zero = FockTensor(cfg, [{}])
+    assert zero.maxrank == 0 and zero.scalar == 0
+    again = FockTensor.from_records(cfg, zero.to_records())
+    assert again.maxrank == 0 and again.close_to(zero, 0.0)

@@ -267,3 +267,14 @@ def test_gaussian_bound_mc_p4():
         gaussian_bound_check(cfg, f, h, T=1.0, p=4.0, d_up=d_up)  # no MC params
     with pytest.raises(ValueError):
         gaussian_bound_check(cfg, f, h, T=1.0, p=1.0, d_up=d_up)
+
+
+def test_gaussian_bound_rejects_params_at_another_time():
+    # the Monte Carlo norm and the exponent must use one heat time
+    cfg = heis()
+    f = parse_poly(cfg, "w2^2 + c1")
+    h = elem(cfg, [0.2, -0.3j], [0.1])
+    params = MCParams(T=0.05, steps=4, paths=10, seed=3)
+    for p in (4.0, 2.0):
+        with pytest.raises(ValueError, match=r"params\.T=0\.05 .*T=1\.0"):
+            gaussian_bound_check(cfg, f, h, T=1.0, p=p, params=params, d_up=0.5)

@@ -209,6 +209,30 @@ def test_path_estimators_bit_identical_across_workers(monkeypatch, estimator):
     assert [(e.mean, e.stderr) for e in one] == [(e.mean, e.stderr) for e in three]
 
 
+def test_default_batches_bit_identical_across_workers():
+    # the shipped BATCH, not a patched one: a 2048-path call spans several
+    # batches, so two workers share it, and the results stay bitwise equal
+    assert len(mc._batch_ranges(2048)) >= 2
+    cfg = heis()
+    params = mc.MCParams(T=1.0, steps=8, paths=2 * mc.BATCH + 100, seed=20)
+    assert len(mc._batch_ranges(params.paths)) == 3
+    f = parse_poly(cfg, "w1^2*w2 + w2*c1 + 3*c1^2")
+    grid = {w: mc.heat_mc_grid(cfg, f, params, stride=2, workers=w) for w in (1, 2)}
+    res = {w: mc.chaos_residual(cfg, f, params, workers=w) for w in (1, 2)}
+    assert [(e.mean, e.stderr) for e in grid[1][1]] == [(e.mean, e.stderr) for e in grid[2][1]]
+    assert (res[1].mean, res[1].stderr) == (res[2].mean, res[2].stderr)
+
+    # one evaluation over every grid point against one per time point
+    W, C = mc._group_paths(cfg, mc._increment_batch(cfg, params, 0, params.paths))
+    times, ests = grid[1]
+    assert np.array_equal(times, np.arange(0, params.steps + 1, 2) * params.dt)
+    for t, est in zip(range(0, params.steps + 1, 2), ests):
+        x = f.eval_batch(W[:, t], C[:, t])
+        stderr = np.sqrt(np.var(x, ddof=1) / params.paths) if t else 0.0
+        assert np.isclose(est.mean, x.mean(), rtol=1e-12, atol=1e-15)
+        assert np.isclose(est.stderr, stderr, rtol=1e-9, atol=1e-15)
+
+
 def test_iterated_integrals_low_rank_exact():
     cfg = heis()
     params = mc.MCParams(T=1.0, steps=128, paths=1, seed=8)
