@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .group import GroupConfig
-from .poly import CLEANUP_TOL, Polynomial, _basis_halves, _lid
+from .poly import CLEANUP_TOL, Polynomial, _basis_halves, _check_time, _clean_terms, _one_sided
 
 __all__ = [
     "FockTensor",
@@ -152,23 +152,26 @@ def taylor(f: Polynomial, maxrank: int | None = None) -> FockTensor:
         raise ValueError(
             f"maxrank {maxrank} below the graded degree {degree}; tail would be lost"
         )
-    basis = _basis_halves(cfg)
+    hols = [hol for hol, _ in _basis_halves(cfg)]
+    zero = Polynomial._zero_key(cfg)
     ranks: list[dict] = [{} for _ in range(maxrank + 1)]
     if abs(f.constant_term()) > CLEANUP_TOL:
         ranks[0][()] = f.constant_term()
-    chains: dict[tuple, Polynomial] = {(): f}
+    # every chain is holomorphic, so D_h is its whole derivative
+    chains: dict[tuple, dict] = {(): f.terms}
     for n in range(1, maxrank + 1):
-        extended: dict[tuple, Polynomial] = {}
-        for key, chain in chains.items():
-            for j, direction in enumerate(basis):
-                derived = _lid(chain, direction)
-                if derived.is_zero():
+        extended: dict[tuple, dict] = {}
+        for key, terms in chains.items():
+            for j, hol in enumerate(hols):
+                out: dict = {}
+                _one_sided(terms, 0, *hol, out)
+                derived = _clean_terms(out)
+                if not derived:
                     continue
                 new_key = (j,) + key
                 extended[new_key] = derived
-                value = derived.constant_term()
-                if abs(value) > CLEANUP_TOL:
-                    ranks[n][new_key] = value
+                if zero in derived:
+                    ranks[n][new_key] = derived[zero]
         chains = extended
         if not chains:
             break
@@ -200,8 +203,7 @@ def inverse_taylor(alpha: FockTensor) -> Polynomial:
 
 def fock_norm_sq(alpha: FockTensor, T: float) -> float:
     """sum_n (T^n / n!) * sum_tuples |<alpha_n, .>|^2."""
-    if not math.isfinite(T) or T <= 0:
-        raise ValueError(f"fock_norm_sq requires a finite T > 0, got T={T}")
+    _check_time("fock_norm_sq", T)
     total = 0.0
     for n, component in enumerate(alpha.ranks):
         if component:
@@ -212,8 +214,7 @@ def fock_norm_sq(alpha: FockTensor, T: float) -> float:
 def fock_inner(alpha: FockTensor, beta: FockTensor, T: float) -> complex:
     """sum_n (T^n / n!) * sum_tuples alpha_n conj(beta_n); matches fock_norm_sq
     on the diagonal."""
-    if not math.isfinite(T) or T <= 0:
-        raise ValueError(f"fock_inner requires a finite T > 0, got T={T}")
+    _check_time("fock_inner", T)
     total = 0j
     top = min(alpha.maxrank, beta.maxrank)
     for n in range(top + 1):

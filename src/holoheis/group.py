@@ -49,6 +49,8 @@ class GroupConfig:
             raise ValueError(
                 f"config: omega must have shape ({d},{k},{k}), got {om.shape}"
             )
+        if not np.isfinite(om).all():
+            raise ValueError("config: omega entries must be finite")
         skew_err = float(np.max(np.abs(om + np.transpose(om, (0, 2, 1)))))
         if skew_err > SKEW_TOL:
             raise ValueError(
@@ -112,17 +114,17 @@ class GroupConfig:
         for field in ("k", "d", "omega"):
             if field not in data:
                 raise KeyError(f"config: {field} required")
-        k, d = int(data["k"]), int(data["d"])
-        raw = data["omega"]
-        if len(raw) != d:
-            raise ValueError(f"config: omega must list {d} matrices, got {len(raw)}")
-        om = np.empty((d, k, k), dtype=complex)
-        for m, mat in enumerate(raw):
-            for i, row in enumerate(mat):
-                for j, pair in enumerate(row):
-                    re, im = pair
-                    om[m, i, j] = complex(re, im)
-        return cls(k, d, om)
+        try:
+            pairs = np.array(data["omega"])
+        except ValueError as exc:
+            raise ValueError(f"config: omega is not an array of [re, im] pairs: {exc}") from None
+        if pairs.ndim != 4 or pairs.shape[-1] != 2 or pairs.dtype.kind not in "iuf":
+            raise ValueError(
+                f"config: omega must hold numeric [re, im] pairs, got a {pairs.dtype} array"
+                f" of shape {pairs.shape}"
+            )
+        # a view keeps each (re, im) pair bit for bit, signed zeros included
+        return cls(int(data["k"]), int(data["d"]), pairs.astype(float).view(complex)[..., 0])
 
     @property
     def config_hash(self) -> str:

@@ -253,7 +253,10 @@ def _estimate(sum1: complex, sum2: float, n: int) -> MCEstimate:
 def _sample_means(params: MCParams, workers: int, batch_fn) -> list[MCEstimate]:
     """Run batch_fn(start, count) -> (count, ncols) complex samples over fixed
     batches (optionally in a thread pool), combine the column sums and
-    absolute squares in batch order, and return one estimate per column."""
+    absolute squares in batch order, and return one estimate per column.
+    Every estimator passes its `workers` here, so this is where it is checked."""
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     ranges = _batch_ranges(params.paths)
 
     def partial(args):

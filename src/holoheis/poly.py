@@ -423,12 +423,7 @@ def lid(f: Polynomial, h: GroupElement) -> Polynomial:
     with v(w) = a + omega(w, A)/2, a vector of degree-1 polynomials in w.
     Holomorphic f stays holomorphic (the conjugate half vanishes).
     """
-    return _lid(f, _halves(h))
-
-
-def _lid(f: Polynomial, halves: tuple[tuple, tuple]) -> Polynomial:
-    """`lid` along the direction whose `_halves` are given."""
-    hol, anti = halves
+    hol, anti = _halves(h)
     out: dict = {}
     _one_sided(f.terms, 0, *hol, out)
     _one_sided(f.terms, f.config.n, *anti, out)
@@ -457,6 +452,12 @@ def apply_L(F: Polynomial) -> Polynomial:
     return Polynomial._bounded(cfg, {key: 4.0 * z for key, z in out.items()})
 
 
+def _check_time(name: str, T: float) -> None:
+    """Reject a time T that is not finite and positive, naming the caller."""
+    if not math.isfinite(T) or T <= 0:
+        raise ValueError(f"{name} requires a finite T > 0, got T={T}")
+
+
 def heat_expectation(F: Polynomial, T: float) -> complex:
     """Exact expectation of F under the terminal-time-T heat kernel measure:
 
@@ -465,8 +466,7 @@ def heat_expectation(F: Polynomial, T: float) -> complex:
     a finite sum because L lowers graded degree by 2 per application. Serves
     as the exact oracle that every Monte Carlo estimate is judged against.
     """
-    if not math.isfinite(T) or T <= 0:
-        raise ValueError(f"heat_expectation requires a finite T > 0, got T={T}")
+    _check_time("heat_expectation", T)
     total = 0j
     cur = F
     m = 0

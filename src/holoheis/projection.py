@@ -11,12 +11,11 @@ computes both and insists they agree.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .group import GroupConfig, GroupElement
-from .poly import CLEANUP_TOL, Polynomial, _basis_halves, _halves, _lid
+from .poly import (CLEANUP_TOL, Polynomial, _basis_halves, _check_time, _clean_terms,
+                   _halves, _one_sided)
 from .fock import FockTensor, fock_norm_sq, taylor
 
 __all__ = [
@@ -143,87 +142,80 @@ def compose_with_projection(proj: Projection, f: Polynomial) -> Polynomial:
 
 def _direction_coefficients(
     proj: Projection, h: GroupElement
-) -> list[tuple[int, complex | Polynomial]]:
-    """The pushed direction as basis components with their coefficients.
+) -> list[tuple[int, complex, list[tuple[int, complex]]]]:
+    """The pushed direction as basis components (l, const, linear), each with
+    the coefficient const + sum_i s_i w_i over the pairs (i, s_i) in linear.
 
-    Horizontal components of PA are complex constants, so multiplying a state
-    polynomial by one is a scalar scale; each central component is the
-    polynomial a_m + (w-linear) where the linear part carries
-    (Omega_m - P^T Omega_m P)A. Expressing the central shift in the source
+    Horizontal components of PA are constants (empty linear); each central
+    component is a_m plus a w-linear part that carries
+    (Omega_m - P^T Omega_m P)A / 2. Expressing the central shift in the source
     variable w (not Pw) is what lets the kappa recursion differentiate it again.
+    Parts at or below CLEANUP_TOL are dropped, as they would be from a
+    polynomial.
     """
     cfg = proj.config
-    k, d = cfg.k, cfg.d
-    A, a = h.w, h.c
-    B = proj.apply(A)
-    # constants at or below CLEANUP_TOL would be dropped as polynomials
-    out: list[tuple[int, complex | Polynomial]] = [
-        (l, complex(B[l])) for l in range(k) if abs(B[l]) > CLEANUP_TOL
-    ]
-    PA = B
-    for m in range(d):
-        co = cfg.omega[m] @ A - proj.matrix.T @ (cfg.omega[m] @ PA)
-        poly = Polynomial.constant(cfg, a[m])
-        for i in range(k):
-            if abs(co[i]) > 0:
-                poly = poly + 0.5 * co[i] * Polynomial.coordinate(cfg, i)
-        if not poly.is_zero():
-            out.append((k + m, poly))
+    k = cfg.k
+    B = proj.apply(h.w)
+    out = [(l, complex(B[l]), []) for l in range(k) if abs(B[l]) > CLEANUP_TOL]
+    for m in range(cfg.d):
+        co = 0.5 * (cfg.omega[m] @ h.w - proj.matrix.T @ (cfg.omega[m] @ B))
+        const = complex(h.c[m]) if abs(h.c[m]) > CLEANUP_TOL else 0j
+        linear = [(i, complex(co[i])) for i in range(k) if abs(co[i]) > CLEANUP_TOL]
+        if const or linear:
+            out.append((k + m, const, linear))
     return out
 
 
-def _kappa_step(
-    state: dict[tuple, Polynomial], halves: tuple, comps: list
-) -> dict[tuple, Polynomial]:
-    """One step of the kappa recursion along the raw direction h, given by its
-    kernel arguments halves = _halves(h) and its pushed components
-    comps = _direction_coefficients(proj, h). Returns a new state; the given
-    one is left as it is."""
-    new: dict[tuple, Polynomial] = {}
+def _kappa_step(state: dict[tuple, dict], hol: tuple, comps: list) -> dict[tuple, dict]:
+    """One step of the kappa recursion along the raw direction h, given by the
+    kernel arguments hol = _halves(h)[0] of its holomorphic half and its
+    pushed components comps = _direction_coefficients(proj, h).
 
-    def add(key: tuple, poly: Polynomial) -> None:
-        prev = new.get(key)
-        new[key] = poly if prev is None else prev + poly
-
-    for key, poly in state.items():
-        dp = _lid(poly, halves)
-        if not dp.is_zero():
-            add(key, dp)
-        for l, coeff in comps:
-            add((l,) + key, coeff * poly)
-    return {key: poly for key, poly in new.items() if not poly.is_zero()}
-
-
-def _state_tensor(cfg: GroupConfig, state: dict[tuple, Polynomial], n: int) -> FockTensor:
-    """The kappa tensor of a state after n steps: each tuple's constant term."""
-    ranks: list[dict] = [dict() for _ in range(n + 1)]
-    for key, poly in state.items():
-        val = poly.constant_term()
-        if val != 0:
-            ranks[len(key)][key] = val
-    return FockTensor(cfg, ranks)
+    A state maps index tuples to holomorphic term dicts, so D_h is the whole
+    derivative of each entry. Each entry gets D_h of its own terms plus, for
+    each component l, the product of that coefficient with the entry at its
+    suffix. Returns a new state; the given one is left as it is.
+    """
+    new: dict[tuple, dict] = {}
+    for key, terms in state.items():
+        _one_sided(terms, 0, *hol, new.setdefault(key, {}))
+        for l, const, linear in comps:
+            out = new.setdefault((l,) + key, {})
+            for mono, z in terms.items():
+                if const:
+                    out[mono] = out.get(mono, 0j) + const * z
+                for i, s in linear:
+                    bumped = mono[:i] + (mono[i] + 1,) + mono[i + 1:]
+                    out[bumped] = out.get(bumped, 0j) + s * z
+    return {key: kept for key, terms in new.items() if (kept := _clean_terms(terms))}
 
 
 def kappa(proj: Projection, directions: list[GroupElement]) -> FockTensor:
     """The pairing tensor for an iterated derivative of f o pi_P.
 
     directions lists k_1..k_n with k_1 applied first (innermost). The state is
-    a tuple-indexed family of w-polynomials; each step (`_kappa_step`) either
-    extends a tuple on the left with a component of the pushed direction or
-    differentiates a coefficient along the raw direction. So the state after
-    m steps depends only on k_1..k_m, and pullback_taylor shares it between
-    checked tuples with a common suffix. Evaluated at the identity, the result
-    pairs linearly with taylor(f):
+    a tuple-indexed family of holomorphic w-polynomials, kept as term dicts;
+    each step (`_kappa_step`) either extends a tuple on the left with a
+    component of the pushed direction or differentiates a coefficient along
+    the raw direction. So the state after m steps depends only on k_1..k_m,
+    and pullback_taylor shares it between checked tuples with a common
+    suffix. The tensor holds each tuple's constant term. Evaluated at the
+    identity, the result pairs linearly with taylor(f):
 
         (h~_1 ... h~_n (f o pi_P))(e) = sum_u kappa[u] * taylor(f)[u],
 
     where the derivative order maps to directions by k_j = h_{n+1-j}.
     """
     cfg = proj.config
-    state: dict[tuple, Polynomial] = {(): Polynomial.constant(cfg, 1.0)}
+    zero = Polynomial._zero_key(cfg)
+    state: dict[tuple, dict] = {(): {zero: 1 + 0j}}
     for h in directions:
-        state = _kappa_step(state, _halves(h), _direction_coefficients(proj, h))
-    return _state_tensor(cfg, state, len(directions))
+        state = _kappa_step(state, _halves(h)[0], _direction_coefficients(proj, h))
+    ranks: list[dict] = [{} for _ in range(len(directions) + 1)]
+    for key, terms in state.items():
+        if zero in terms:
+            ranks[len(key)][key] = terms[zero]
+    return FockTensor(cfg, ranks)
 
 
 def _check_tuples(cfg: GroupConfig, maxrank: int) -> list[tuple]:
@@ -244,15 +236,6 @@ def _check_tuples(cfg: GroupConfig, maxrank: int) -> list[tuple]:
     return sorted(set(out))
 
 
-def _pair(kap: FockTensor, alpha: FockTensor) -> complex:
-    """sum_u kap[u] * alpha[u] over the ranks >= 1."""
-    total = 0j
-    for r in range(1, kap.maxrank + 1):
-        for key, coeff in kap.ranks[r].items():
-            total += coeff * alpha.entry(key)
-    return total
-
-
 def _route_b(proj: Projection, alpha: FockTensor, tuples: list[tuple]):
     """Yield (t, route-b value of the Taylor entry of f o pi_P at t) for each
     tuple, where alpha = taylor(f).
@@ -263,16 +246,22 @@ def _route_b(proj: Projection, alpha: FockTensor, tuples: list[tuple]):
     paired and dropped at once.
     """
     cfg = proj.config
-    halves = _basis_halves(cfg)
+    hols = [hol for hol, _ in _basis_halves(cfg)]
     comps = [_direction_coefficients(proj, h) for h in cfg.basis()]
-    suffixes: dict[tuple, dict] = {(): {(): Polynomial.constant(cfg, 1.0)}}
+    zero = Polynomial._zero_key(cfg)
+    suffixes: dict[tuple, dict] = {(): {(): {zero: 1 + 0j}}}
     for t in tuples:
         for j in range(len(t) - 1, 0, -1):
             s = t[j:]
             if s not in suffixes:
-                suffixes[s] = _kappa_step(suffixes[s[1:]], halves[s[0]], comps[s[0]])
-        state = _kappa_step(suffixes[t[1:]], halves[t[0]], comps[t[0]])
-        yield t, _pair(_state_tensor(cfg, state, len(t)), alpha)
+                suffixes[s] = _kappa_step(suffixes[s[1:]], hols[s[0]], comps[s[0]])
+        state = _kappa_step(suffixes[t[1:]], hols[t[0]], comps[t[0]])
+        # rank by rank in state order, as the pairing of kappa's tensor runs
+        value = 0j
+        for key in sorted(state, key=len):
+            if key and zero in state[key]:
+                value += state[key][zero] * alpha.entry(key)
+        yield t, value
 
 
 def _checked_pullback(
@@ -317,8 +306,7 @@ def projection_convergence(
     total norm at time T; at N = k the projection is the identity and every
     gap is exactly zero. T must be finite and positive.
     """
-    if not math.isfinite(T) or T <= 0:
-        raise ValueError(f"projection_convergence requires a finite T > 0, got T={T}")
+    _check_time("projection_convergence", T)
     alpha = taylor(f)
     rows = []
     for N in range(1, config.k + 1):

@@ -69,6 +69,30 @@ def test_bad_mc_parameters_exit_2(capsys):
     assert code == 2 and out == "" and err.startswith("error: p must")
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_bad_workers_exit_2(capsys, workers):
+    argv = ["simulate", "--poly", "w1", "--paths", "10", "--steps", "4", "--workers", workers]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: workers must be an integer >= 1")
+
+
+@pytest.mark.parametrize(
+    "k, size",
+    [(3, 2), (2, 3)],
+    ids=["matrices-smaller-than-k", "matrices-larger-than-k"],
+)
+def test_config_with_wrong_omega_shape_exits_2(tmp_path, capsys, k, size):
+    # omega lists one skew size x size matrix (d = 1) that does not fit k
+    omega = [[[[0.0, 0.0]] * size for _ in range(size)]]
+    omega[0][0][1], omega[0][1][0] = [1.0, 0.0], [-1.0, 0.0]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": k, "d": 1, "omega": omega}))
+    code, out, err = run(capsys, ["taylor", "--poly", "c1", "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert err.startswith("config:") and "omega must have shape" in err
+
+
 def test_bad_point_exits_2(capsys):
     code, _, err = run(
         capsys,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from holoheis.group import GroupConfig
-from holoheis.poly import Polynomial, parse_poly, heat_expectation
+from holoheis.poly import Polynomial, parse_poly, lid, heat_expectation
 from holoheis.fock import (
     FockTensor,
     taylor,
@@ -49,6 +49,33 @@ def test_taylor_c1_reference_records():
         (2, [0, 1], [0.5, 0.0]),
         (2, [1, 0], [-0.5, 0.0]),
     ]
+
+
+def test_taylor_equals_iterated_public_lid():
+    # taylor differentiates with the holomorphic half of lid alone; on
+    # holomorphic chains the other half adds nothing, so no bit may change
+    rng = np.random.default_rng(8)
+    raw = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    cases = [
+        (heis(), "w1^2*c1 + w2*c1 - w1*w2 + c1^2 + w2^3*w1"),
+        (heis(), "(0.3+0.2i)*c1^2*w1 - 2*w2*c1 + 1.5"),
+        (GroupConfig(3, 2, raw - np.transpose(raw, (0, 2, 1))), None),
+    ]
+    for cfg, text in cases:
+        f = random_holo(cfg, rng) if text is None else parse_poly(cfg, text)
+        basis = cfg.basis()
+        ranks = [{(): f.constant_term()}]
+        chains = {(): f}
+        for _ in range(f.graded_degree()):
+            chains = {
+                (j,) + key: lid(chain, h)
+                for key, chain in chains.items()
+                for j, h in enumerate(basis)
+            }
+            ranks.append({key: chain.constant_term() for key, chain in chains.items()})
+        expected = FockTensor(cfg, ranks)
+        assert taylor(f).ranks == expected.ranks
+        assert sum(len(r) for r in expected.ranks) >= 10
 
 
 def test_taylor_rejects_non_holomorphic():

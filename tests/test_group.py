@@ -1,5 +1,8 @@
 """Group layer: multiplication, bracket, and the form constants."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -183,11 +186,43 @@ def test_config_dict_roundtrip_and_hash():
     assert np.array_equal(again.omega, cfg.omega)
     assert again.config_hash == cfg.config_hash
     assert len(cfg.config_hash) == 12
+    # config_hash serializes omega, so every (re, im) pair, signed zeros
+    # included, must come back as given
+    data = {"k": 2, "d": 1, "omega": [[[[0.0, -0.0], [1.0, -0.0]], [[-1.0, 0.0], [-0.0, 0.0]]]]}
+    assert json.dumps(GroupConfig.from_dict(data).to_dict()) == json.dumps(data)
 
 
 def test_from_dict_missing_omega_message():
     with pytest.raises(KeyError, match="config: omega required"):
         GroupConfig.from_dict({"k": 2, "d": 1})
+
+
+def test_from_dict_rejects_bad_omega_by_name():
+    def pairs(size):
+        om = [[[0.0, 0.0] for _ in range(size)] for _ in range(size)]
+        om[0][1], om[1][0] = [1.0, 0.0], [-1.0, 0.0]
+        return om
+
+    ragged = pairs(2)
+    ragged[1] = ragged[1][:1]
+    cases = [
+        # 2 x 2 matrices for k = 3 used to leave uninitialized entries
+        ({"k": 3, "d": 1, "omega": [pairs(2)]}, r"omega must have shape \(1,3,3\)"),
+        # 3 x 3 matrices for k = 2 used to raise an IndexError
+        ({"k": 2, "d": 1, "omega": [pairs(3)]}, r"omega must have shape \(1,2,2\)"),
+        ({"k": 2, "d": 2, "omega": [pairs(2)]}, r"omega must have shape \(2,2,2\)"),
+        ({"k": 2, "d": 1, "omega": [ragged]}, "omega is not an array of"),
+        ({"k": 2, "d": 1, "omega": [[[[0.0], [1.0]], [[-1.0], [0.0]]]]}, "omega must hold"),
+        ({"k": 2, "d": 1, "omega": [[[[0.0, 0.0], [1.0, None]], [[-1.0, 0.0], [0.0, 0.0]]]]},
+         "omega must hold numeric"),
+        ({"k": 2, "d": 1, "omega": [[[[0.0, 0.0], [1.0, "0"]], [[-1.0, 0.0], [0.0, 0.0]]]]},
+         "omega must hold numeric"),
+        ({"k": 2, "d": 1, "omega": [[[[0.0, 0.0], [1.0, math.nan]], [[-1.0, 0.0], [0.0, 0.0]]]]},
+         "omega entries must be finite"),
+    ]
+    for data, message in cases:
+        with pytest.raises(ValueError, match=message):
+            GroupConfig.from_dict(data)
 
 
 def test_config_is_immutable():

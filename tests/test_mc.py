@@ -49,6 +49,28 @@ def test_estimators_reject_bad_arguments_by_name():
             mc.lp_norm_mc(cfg, f, p, params)
 
 
+def test_estimators_reject_bad_workers_by_name():
+    # zero or negative counts used to run serially without complaint
+    cfg = heis()
+    f = parse_poly(cfg, "w1*c1")
+    params = mc.MCParams(T=1.0, steps=4, paths=8, seed=0)
+    alpha = taylor(f)
+    calls = [
+        lambda w: mc.heat_mc(cfg, f, params, workers=w),
+        lambda w: mc.skeleton_sweep(cfg, [(f, cfg.identity())], params, w),
+        lambda w: mc.heat_mc_grid(cfg, f, params, workers=w),
+        lambda w: mc.chaos_residual(cfg, f, params, workers=w),
+        lambda w: mc.chaos_isometry_mc(cfg, [alpha], params, workers=w),
+        lambda w: mc.lp_norm_mc(cfg, f, 3.0, params, workers=w),
+        lambda w: mc.gaussian_moment_check(cfg, np.array([0.5, 0.1j]), params, workers=w),
+    ]
+    for call in calls:
+        for workers in (0, -3, 1.5, True, "2"):
+            with pytest.raises(ValueError, match=r"workers must be an integer >= 1"):
+                call(workers)
+        call(np.int64(2))
+
+
 def test_paths_deterministic_and_batch_independent():
     cfg = heis()
     params = mc.MCParams(T=1.0, steps=32, paths=1, seed=42)

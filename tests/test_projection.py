@@ -89,6 +89,29 @@ def test_k_p_chain_rule():
         assert left == pytest.approx(right, rel=1e-10, abs=1e-10)
 
 
+def test_direction_coefficients_match_k_p():
+    # k_p is the numeric reference: at every base point, each pushed
+    # coefficient const + sum_i s_i w_i is the matching component of k_p
+    rng = np.random.default_rng(12)
+    raw = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    cfg = GroupConfig(3, 2, raw - np.transpose(raw, (0, 2, 1)))
+    q, _ = np.linalg.qr(rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)))
+    proj = Projection(cfg, q.T)
+    directions = cfg.basis() + [rand_elem(cfg, rng) for _ in range(2)]
+    for h in directions:
+        comps = projection._direction_coefficients(proj, h)
+        assert len({l for l, _, _ in comps}) == len(comps)
+        for _ in range(4):
+            at = rand_elem(cfg, rng)
+            pushed = k_p(proj, h, at)
+            values = np.zeros(cfg.n, complex)
+            for l, const, linear in comps:
+                assert l >= cfg.k or not linear  # horizontal parts are constants
+                values[l] = const + sum(s * at.w[i] for i, s in linear)
+            expected = np.concatenate([pushed.w, pushed.c])
+            assert np.allclose(values, expected, rtol=0, atol=1e-12)
+
+
 def test_compose_identity_fast_path():
     cfg = heis()
     proj = Projection.coordinate(cfg, [0, 1])
@@ -257,10 +280,10 @@ def test_route_b_stays_independent_of_route_a(monkeypatch):
 
     def doubled_shift(proj, h):
         out = []
-        for l, coeff in honest(proj, h):
+        for l, const, linear in honest(proj, h):
             if l >= cfg.k:
-                coeff = 2 * coeff - coeff.constant_term()
-            out.append((l, coeff))
+                linear = [(i, 2 * s) for i, s in linear]
+            out.append((l, const, linear))
         return out
 
     monkeypatch.setattr(projection, "_direction_coefficients", doubled_shift)
