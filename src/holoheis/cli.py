@@ -527,10 +527,14 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         print(f"config: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # GroupConfig's messages carry their own "config:"
+        print(exc, file=sys.stderr)
+        return 2
     try:
+        mc._check_workers(args.workers)
         rows, columns = HANDLERS[args.command](config, args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,20 +10,21 @@ above, which is the sound direction for every bound downstream:
 overestimating the distance only loosens them. The growth bounds follow the
 Gaussian-type bound of Driver-Gordina, Heat kernel analysis on
 infinite-dimensional Heisenberg groups (J. Funct. Anal. 2008).
+
+scipy is imported inside distance_upper, the only caller of its minimizer,
+so importing this module, or the package, loads numpy alone.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .group import GroupConfig, GroupElement, k_omega
 from .poly import Polynomial, heat_expectation
-from .mc import MCParams, lp_norm_mc
+from .mc import MCParams, _is_int, lp_norm_mc
 
 __all__ = [
     "path_length",
@@ -92,7 +93,7 @@ def _length_grad(config: GroupConfig, W: np.ndarray, C: np.ndarray):
 
 
 def _check_count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+    if not _is_int(value) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {name}={value!r}")
 
 
@@ -132,6 +133,8 @@ def distance_upper(
     """
     _check_count("segments", segments)
     _check_count("restarts", restarts)
+    from scipy.optimize import minimize
+
     straight = path_length(config, [config.identity(), h])
     if segments == 1 or straight == 0.0:
         return straight

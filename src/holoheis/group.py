@@ -115,6 +115,12 @@ class GroupConfig:
             if field not in data:
                 raise KeyError(f"config: {field} required")
         try:
+            k, d = int(data["k"]), int(data["d"])
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"config: k and d must be integers, got k={data['k']!r}, d={data['d']!r}"
+            ) from None
+        try:
             pairs = np.array(data["omega"])
         except ValueError as exc:
             raise ValueError(f"config: omega is not an array of [re, im] pairs: {exc}") from None
@@ -124,7 +130,7 @@ class GroupConfig:
                 f" of shape {pairs.shape}"
             )
         # a view keeps each (re, im) pair bit for bit, signed zeros included
-        return cls(int(data["k"]), int(data["d"]), pairs.astype(float).view(complex)[..., 0])
+        return cls(k, d, pairs.astype(float).view(complex)[..., 0])
 
     @property
     def config_hash(self) -> str:

@@ -55,6 +55,11 @@ __all__ = [
 BATCH = 512
 
 
+def _is_int(value) -> bool:
+    """An integer that is not a bool (True would otherwise pass as 1)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MCParams:
     T: float
@@ -67,9 +72,9 @@ class MCParams:
             raise ValueError(f"MCParams: T must be finite and positive, got {self.T!r}")
         for name in ("steps", "paths"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise ValueError(f"MCParams: {name} must be an integer >= 1, got {value!r}")
-        if not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2**64:
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError(f"MCParams: seed must be an integer in [0, 2^64), got {self.seed!r}")
 
     @property
@@ -250,13 +255,18 @@ def _estimate(sum1: complex, sum2: float, n: int) -> MCEstimate:
     return MCEstimate(mean=complex(mean), stderr=math.sqrt(var / n), paths=n)
 
 
+def _check_workers(workers) -> None:
+    """The one rule for a worker count, shared by the estimators and the CLI."""
+    if not _is_int(workers) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+
+
 def _sample_means(params: MCParams, workers: int, batch_fn) -> list[MCEstimate]:
     """Run batch_fn(start, count) -> (count, ncols) complex samples over fixed
     batches (optionally in a thread pool), combine the column sums and
     absolute squares in batch order, and return one estimate per column.
     Every estimator passes its `workers` here, so this is where it is checked."""
-    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    _check_workers(workers)
     ranges = _batch_ranges(params.paths)
 
     def partial(args):

@@ -93,6 +93,32 @@ def test_config_with_wrong_omega_shape_exits_2(tmp_path, capsys, k, size):
     assert err.startswith("config:") and "omega must have shape" in err
 
 
+def test_config_error_has_one_prefix(tmp_path, capsys):
+    # GroupConfig's messages start with "config:"; the CLI used to add a second one
+    omega = [[[[0.0, 0.0], [1.0, 0.0]], [[-1.0, 0.0], [0.0, 0.0]]]]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": 3, "d": 1, "omega": omega}))
+    code, out, err = run(capsys, ["taylor", "--poly", "c1", "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert err == "config: omega must have shape (1,3,3), got (1, 2, 2)\n"
+    cfg.write_text(json.dumps({"k": "two", "d": 1, "omega": omega}))
+    code, out, err = run(capsys, ["taylor", "--poly", "c1", "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert err == "config: k and d must be integers, got k='two', d=1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["taylor", "--poly", "w1*c1", "--workers", "0"], ["project", "--poly", "w1", "--workers", "-2"]],
+    ids=["taylor", "project"],
+)
+def test_bad_workers_exit_2_without_an_estimator(capsys, argv):
+    # subcommands that run no Monte Carlo estimator used to ignore --workers
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: workers must be an integer >= 1, got {int(argv[-1])}\n"
+
+
 def test_bad_point_exits_2(capsys):
     code, _, err = run(
         capsys,
@@ -245,3 +271,15 @@ def test_console_script_smoke():
     assert proc.returncode == 0
     assert "rank,indices,re,im" in proc.stdout
     assert "1,0,1.0,0.0" in proc.stdout
+
+
+def test_import_and_taylor_leave_scipy_unloaded():
+    # only distance_upper needs scipy, and it imports it on its first call
+    script = (
+        "import sys, holoheis, holoheis.cli\n"
+        "holoheis.cli.main(['taylor', '--poly', 'w1*c1'])\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -1,6 +1,8 @@
 """Path lengths, the distance upper bound, and pointwise growth bounds."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +29,23 @@ def heis():
 
 def elem(cfg, w, c):
     return GroupElement(cfg, np.asarray(w, complex), np.asarray(c, complex))
+
+
+def test_distance_upper_loads_scipy_and_keeps_its_value():
+    # in a fresh interpreter the first call loads scipy; the bound is pinned
+    # bit for bit, so moving the import cannot change where BFGS ends
+    script = (
+        "import sys\n"
+        "from holoheis import GroupConfig, GroupElement, distance_upper\n"
+        "cfg = GroupConfig(2, 1, [[[0.0, 1.0], [-1.0, 0.0]]])\n"
+        "h = GroupElement(cfg, [0.3 + 0.2j, -0.1j], [0.5 - 0.4j])\n"
+        "print(repr(distance_upper(cfg, h, segments=4, restarts=3, seed=7)))\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    value, loaded = proc.stdout.split()
+    assert float(value) == 0.7386081534998611 and loaded == "True"
 
 
 def test_c_factor_reference_values():

@@ -37,6 +37,16 @@ def test_params_validation():
     assert mc.MCParams(T=1, steps=np.int64(4), paths=1, seed=2**64 - 1).seed == 2**64 - 1
 
 
+def test_params_reject_bools_by_name():
+    # True and False are Integral, so they used to pass as a 1-step, 1-path run
+    for name in ("steps", "paths", "seed"):
+        kwargs = dict(T=1.0, steps=16, paths=10, seed=0) | {name: True}
+        with pytest.raises(ValueError, match=f"MCParams: {name} must be"):
+            mc.MCParams(**kwargs)
+    with pytest.raises(ValueError, match="MCParams: seed must be"):
+        mc.MCParams(T=1.0, steps=16, paths=10, seed=False)
+
+
 def test_estimators_reject_bad_arguments_by_name():
     cfg = heis()
     f = parse_poly(cfg, "w1")
