@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .group import GroupConfig, GroupElement
+from .group import GroupConfig, GroupElement, _check_count
 from .poly import Polynomial, parse_poly, heat_expectation
 from .fock import (
     FockTensor,
@@ -301,6 +301,7 @@ def cmd_project(config: GroupConfig, args) -> tuple[list[dict], list[str]]:
 
 
 def cmd_bounds(config: GroupConfig, args) -> tuple[list[dict], list[str]]:
+    _check_count("count", args.count)
     rng = np.random.default_rng(args.seed)
     rows = []
     for i in range(args.count):
@@ -534,7 +535,7 @@ def main(argv=None) -> int:
         print(exc, file=sys.stderr)
         return 2
     try:
-        mc._check_workers(args.workers)
+        _check_count("workers", args.workers)
         rows, columns = HANDLERS[args.command](config, args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 
-from .group import GroupConfig
-from .poly import CLEANUP_TOL, Polynomial, _basis_halves, _check_time, _clean_terms, _one_sided
+from .group import GroupConfig, _check_count, _check_time, _is_int
+from .poly import CLEANUP_TOL, Polynomial, _basis_halves, _clean_terms, _one_sided
 
 __all__ = [
     "FockTensor",
@@ -148,6 +148,8 @@ def taylor(f: Polynomial, maxrank: int | None = None) -> FockTensor:
     degree = f.graded_degree()
     if maxrank is None:
         maxrank = degree
+    if not _is_int(maxrank):
+        raise ValueError(f"taylor: maxrank must be an integer, got {maxrank!r}")
     if maxrank < degree:
         raise ValueError(
             f"maxrank {maxrank} below the graded degree {degree}; tail would be lost"
@@ -309,6 +311,5 @@ def fejer_truncate(alpha: FockTensor, n: int) -> FockTensor:
     max(0, 1 - l/n). Every rank above n is annihilated since degree >= rank,
     and the degree-0 part is untouched (the kernel integrates to 1).
     """
-    if n < 1:
-        raise ValueError(f"fejer_truncate requires n >= 1, got {n}")
+    _check_count("fejer_truncate: n", n)
     return _reweigh(alpha, lambda l: max(0.0, 1.0 - l / n))

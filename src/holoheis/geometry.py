@@ -22,9 +22,9 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .group import GroupConfig, GroupElement, k_omega
+from .group import GroupConfig, GroupElement, _check_count, _check_time, k_omega
 from .poly import Polynomial, heat_expectation
-from .mc import MCParams, _is_int, lp_norm_mc
+from .mc import MCParams, lp_norm_mc
 
 __all__ = [
     "path_length",
@@ -90,11 +90,6 @@ def _length_grad(config: GroupConfig, W: np.ndarray, C: np.ndarray):
     gC[1:] += g_dC
     gC[:-1] -= g_dC
     return float(np.sum(speed)), gW, gC
-
-
-def _check_count(name: str, value) -> None:
-    if not _is_int(value) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {name}={value!r}")
 
 
 def _waypoints(config: GroupConfig, h: GroupElement, x: np.ndarray):
@@ -168,8 +163,7 @@ def c_factor(t: float) -> float:
 def _check_bound_inputs(f: Polynomial, T: float) -> None:
     if not f.is_holomorphic():
         raise ValueError("pointwise bounds apply to holomorphic polynomials")
-    if not math.isfinite(T) or T <= 0:
-        raise ValueError(f"T must be finite and positive, got T={T}")
+    _check_time("pointwise bound", T)
 
 
 def _heat_norm(f: Polynomial, T: float) -> float:

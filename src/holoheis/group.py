@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -31,6 +32,23 @@ __all__ = [
 SKEW_TOL = 1e-12
 
 
+def _is_int(value) -> bool:
+    """An integer that is not a bool (True would otherwise pass as 1)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value) -> None:
+    """The one rule for a count (steps, paths, segments, ranks, workers, ...)."""
+    if not _is_int(value) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _check_time(name: str, T) -> None:
+    """The one rule for a heat time T: finite and positive; name is the caller."""
+    if not math.isfinite(T) or T <= 0:
+        raise ValueError(f"{name}: T must be finite and positive, got T={T}")
+
+
 class GroupConfig:
     """Dimensions (k, d) and the skew form omega; the single source of structure.
 
@@ -42,6 +60,8 @@ class GroupConfig:
     __slots__ = ("k", "d", "omega")
 
     def __init__(self, k: int, d: int, omega) -> None:
+        if not (_is_int(k) and _is_int(d)):
+            raise ValueError(f"config: k and d must be integers, got k={k!r}, d={d!r}")
         if k < 1 or d < 1:
             raise ValueError(f"config: need k >= 1 and d >= 1, got k={k}, d={d}")
         om = np.asarray(omega, dtype=complex)
@@ -111,15 +131,13 @@ class GroupConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GroupConfig":
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"config: the top level must be a JSON object, got {type(data).__name__}"
+            )
         for field in ("k", "d", "omega"):
             if field not in data:
                 raise KeyError(f"config: {field} required")
-        try:
-            k, d = int(data["k"]), int(data["d"])
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"config: k and d must be integers, got k={data['k']!r}, d={data['d']!r}"
-            ) from None
         try:
             pairs = np.array(data["omega"])
         except ValueError as exc:
@@ -130,7 +148,7 @@ class GroupConfig:
                 f" of shape {pairs.shape}"
             )
         # a view keeps each (re, im) pair bit for bit, signed zeros included
-        return cls(k, d, pairs.astype(float).view(complex)[..., 0])
+        return cls(data["k"], data["d"], pairs.astype(float).view(complex)[..., 0])
 
     @property
     def config_hash(self) -> str:

@@ -17,13 +17,12 @@ batches by at most 1.3e-14 relative on the `verify-all` rows.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GroupConfig, GroupElement
+from .group import GroupConfig, GroupElement, _check_count, _check_time, _is_int
 from .poly import Polynomial
 from .fock import FockTensor, taylor
 
@@ -55,11 +54,6 @@ __all__ = [
 BATCH = 512
 
 
-def _is_int(value) -> bool:
-    """An integer that is not a bool (True would otherwise pass as 1)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class MCParams:
     T: float
@@ -68,12 +62,9 @@ class MCParams:
     seed: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.T) and self.T > 0):
-            raise ValueError(f"MCParams: T must be finite and positive, got {self.T!r}")
-        for name in ("steps", "paths"):
-            value = getattr(self, name)
-            if not _is_int(value) or value < 1:
-                raise ValueError(f"MCParams: {name} must be an integer >= 1, got {value!r}")
+        _check_time("MCParams", self.T)
+        _check_count("MCParams: steps", self.steps)
+        _check_count("MCParams: paths", self.paths)
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError(f"MCParams: seed must be an integer in [0, 2^64), got {self.seed!r}")
 
@@ -255,18 +246,12 @@ def _estimate(sum1: complex, sum2: float, n: int) -> MCEstimate:
     return MCEstimate(mean=complex(mean), stderr=math.sqrt(var / n), paths=n)
 
 
-def _check_workers(workers) -> None:
-    """The one rule for a worker count, shared by the estimators and the CLI."""
-    if not _is_int(workers) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
-
-
 def _sample_means(params: MCParams, workers: int, batch_fn) -> list[MCEstimate]:
     """Run batch_fn(start, count) -> (count, ncols) complex samples over fixed
     batches (optionally in a thread pool), combine the column sums and
     absolute squares in batch order, and return one estimate per column.
     Every estimator passes its `workers` here, so this is where it is checked."""
-    _check_workers(workers)
+    _check_count("workers", workers)
     ranges = _batch_ranges(params.paths)
 
     def partial(args):
@@ -353,8 +338,7 @@ def heat_mc_grid(
     Feeds time-integral checks (e.g. the martingale identity) that need the
     whole marginal flow rather than the terminal value.
     """
-    if not isinstance(stride, numbers.Integral) or stride < 1:
-        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
+    _check_count("stride", stride)
     if params.steps % stride:
         raise ValueError("stride must divide steps")
     idx = np.arange(0, params.steps + 1, stride)
@@ -377,8 +361,7 @@ def iterated_integrals(config: GroupConfig, b: BrownianPath, nmax: int) -> list[
     increment entering as the last tensor factor. Dense arrays of shape
     (k+d,)*n; updates run from high rank down so each uses the pre-step value.
     """
-    if nmax < 1:
-        raise ValueError(f"iterated_integrals requires nmax >= 1, got {nmax}")
+    _check_count("nmax", nmax)
     n = config.n
     Ms = [np.zeros((n,) * r, complex) for r in range(nmax + 1)]
     Ms[0] = np.ones((), complex)

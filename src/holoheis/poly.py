@@ -23,7 +23,7 @@ import re
 
 import numpy as np
 
-from .group import GroupConfig, GroupElement, _same_config
+from .group import GroupConfig, GroupElement, _check_time, _same_config
 
 __all__ = [
     "Polynomial",
@@ -450,12 +450,6 @@ def apply_L(F: Polynomial) -> Polynomial:
         _one_sided(F.terms, cfg.n, *anti, bar)
         _one_sided(bar, 0, *hol, out)
     return Polynomial._bounded(cfg, {key: 4.0 * z for key, z in out.items()})
-
-
-def _check_time(name: str, T: float) -> None:
-    """Reject a time T that is not finite and positive, naming the caller."""
-    if not math.isfinite(T) or T <= 0:
-        raise ValueError(f"{name} requires a finite T > 0, got T={T}")
 
 
 def heat_expectation(F: Polynomial, T: float) -> complex:

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .group import GroupConfig, GroupElement
-from .poly import (CLEANUP_TOL, Polynomial, _basis_halves, _check_time, _clean_terms,
-                   _halves, _one_sided)
+from .group import GroupConfig, GroupElement, _check_time
+from .poly import CLEANUP_TOL, Polynomial, _basis_halves, _clean_terms, _halves, _one_sided
 from .fock import FockTensor, fock_norm_sq, taylor
 
 __all__ = [

@@ -283,3 +283,33 @@ def test_import_and_taylor_leave_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"k": 2.7, "d": 1}, "k and d must be integers, got k=2.7, d=1"),
+        ({"k": 2, "d": True}, "k and d must be integers, got k=2, d=True"),
+        (3, "the top level must be a JSON object, got int"),
+        ([], "the top level must be a JSON object, got list"),
+    ],
+    ids=["k-2.7", "d-true", "top-level-3", "top-level-list"],
+)
+def test_config_rejects_fractional_boolean_and_non_object_input(tmp_path, capsys, data, message):
+    # k = 2.7 used to run as k = 2 and d = true as d = 1; a non-object top
+    # level used to crash with a TypeError traceback
+    if isinstance(data, dict):
+        data |= {"omega": [[[[0.0, 0.0], [1.0, 0.0]], [[-1.0, 0.0], [0.0, 0.0]]]]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["taylor", "--poly", "c1", "--config", str(cfg)])
+    assert code == 2 and out == ""
+    assert err == f"config: {message}\n"
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_bounds_rejects_a_count_below_one(capsys, count):
+    # an empty sweep used to print a header and pass vacuously
+    code, out, err = run(capsys, ["bounds", "--count", count])
+    assert code == 2 and out == ""
+    assert err == f"error: count must be an integer >= 1, got {int(count)}\n"

@@ -156,7 +156,7 @@ def test_fock_norms_reject_non_finite_time_by_name(T):
         ("fock_inner", lambda: fock_inner(alpha, alpha, T)),
     ]
     for name, call in cases:
-        with pytest.raises(ValueError, match=rf"{name} requires a finite T > 0, got T={T}"):
+        with pytest.raises(ValueError, match=rf"{name}: T must be finite and positive, got T={T}"):
             call()
 
 

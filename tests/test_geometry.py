@@ -143,12 +143,13 @@ def test_distance_upper_deterministic():
 @pytest.mark.parametrize(
     "kwargs, pattern",
     [
-        (dict(segments=2.5), r"segments must be an integer >= 1, got segments=2\.5"),
-        (dict(segments=0), r"segments must be an integer >= 1, got segments=0"),
-        (dict(restarts=0), r"restarts must be an integer >= 1, got restarts=0"),
-        (dict(restarts=1.5), r"restarts must be an integer >= 1, got restarts=1\.5"),
+        (dict(segments=2.5), r"segments must be an integer >= 1, got 2\.5"),
+        (dict(segments=0), r"segments must be an integer >= 1, got 0"),
+        (dict(restarts=0), r"restarts must be an integer >= 1, got 0"),
+        (dict(restarts=1.5), r"restarts must be an integer >= 1, got 1\.5"),
+        (dict(segments=True), r"segments must be an integer >= 1, got True"),
     ],
-    ids=["segments_2.5", "segments_0", "restarts_0", "restarts_1.5"],
+    ids=["segments_2.5", "segments_0", "restarts_0", "restarts_1.5", "segments_True"],
 )
 def test_distance_upper_rejects_bad_counts_by_name(kwargs, pattern):
     cfg = heis()

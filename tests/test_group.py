@@ -1,4 +1,5 @@
-"""Group layer: multiplication, bracket, and the form constants."""
+"""Group layer: multiplication, bracket, the form constants, and the count and
+time rules every module checks its inputs with."""
 
 import json
 import math
@@ -17,7 +18,11 @@ from holoheis.group import (
     omega_uniform_norm,
     k_omega,
 )
-from holoheis.poly import parse_poly
+from holoheis import mc
+from holoheis.fock import fejer_truncate, fock_inner, fock_norm_sq, taylor
+from holoheis.geometry import bargmann_check, gaussian_bound_check
+from holoheis.poly import heat_expectation, parse_poly
+from holoheis.projection import projection_convergence
 
 SKEW = np.array([[[0.0, 1.0], [-1.0, 0.0]]], dtype=complex)
 
@@ -229,3 +234,59 @@ def test_config_is_immutable():
     cfg = heis()
     with pytest.raises(AttributeError):
         cfg.k = 3
+
+
+def _rule_entry_points():
+    """(id, call, pattern) for each entry point of the count and time rules.
+    MCParams counts and the distance_upper counts are pinned in test_mc and
+    test_geometry."""
+    cfg = heis()
+    f = parse_poly(cfg, "w1*c1 + 2")
+    alpha = taylor(f)
+    params = mc.MCParams(T=1.0, steps=4, paths=8, seed=0)
+    path = mc.sample_path(cfg, params, 0)
+    h = GroupElement(cfg, [0.4, 0.1], [0.2j])
+    count = "must be an integer >= 1, got"
+    time = "T must be finite and positive, got T=-1.0"
+    return [
+        ("config-k-2.7", lambda: GroupConfig(2.7, 1, SKEW),
+         r"config: k and d must be integers, got k=2\.7, d=1"),
+        ("config-d-True", lambda: GroupConfig(2, True, SKEW),
+         r"config: k and d must be integers, got k=2, d=True"),
+        ("MCParams-T", lambda: mc.MCParams(T=-1.0, steps=4, paths=8, seed=0), f"MCParams: {time}"),
+        ("heat_mc_grid-True", lambda: mc.heat_mc_grid(cfg, f, params, stride=True),
+         f"stride {count} True"),
+        ("heat_mc_grid-0", lambda: mc.heat_mc_grid(cfg, f, params, stride=0), f"stride {count} 0"),
+        ("iterated_integrals-1.5", lambda: mc.iterated_integrals(cfg, path, 1.5),
+         rf"nmax {count} 1\.5"),
+        ("iterated_integrals-True", lambda: mc.iterated_integrals(cfg, path, True),
+         f"nmax {count} True"),
+        ("fejer_truncate-2.5", lambda: fejer_truncate(alpha, 2.5),
+         rf"fejer_truncate: n {count} 2\.5"),
+        ("fejer_truncate-True", lambda: fejer_truncate(alpha, True),
+         f"fejer_truncate: n {count} True"),
+        ("taylor-3.5", lambda: taylor(f, maxrank=3.5),
+         r"taylor: maxrank must be an integer, got 3\.5"),
+        ("heat_expectation", lambda: heat_expectation(f, -1.0), f"heat_expectation: {time}"),
+        ("fock_norm_sq", lambda: fock_norm_sq(alpha, -1.0), f"fock_norm_sq: {time}"),
+        ("fock_inner", lambda: fock_inner(alpha, alpha, -1.0), f"fock_inner: {time}"),
+        ("projection_convergence", lambda: projection_convergence(cfg, f, -1.0),
+         f"projection_convergence: {time}"),
+        ("bargmann_check", lambda: bargmann_check(cfg, f, h, -1.0, d_up=0.5),
+         f"pointwise bound: {time}"),
+        ("gaussian_bound_check", lambda: gaussian_bound_check(cfg, f, h, -1.0, d_up=0.5),
+         f"pointwise bound: {time}"),
+    ]
+
+
+RULE_CASES = _rule_entry_points()
+
+
+@pytest.mark.parametrize(
+    "call, pattern", [case[1:] for case in RULE_CASES], ids=[case[0] for case in RULE_CASES]
+)
+def test_count_and_time_rules_name_the_argument_and_the_value(call, pattern):
+    # one wording per rule; fractional and boolean counts used to run or to
+    # fail with a TypeError from range
+    with pytest.raises(ValueError, match=f"^{pattern}$"):
+        call()

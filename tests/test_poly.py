@@ -232,7 +232,7 @@ def test_heat_expectation_requires_positive_time():
 def test_heat_expectation_rejects_non_finite_time_by_name(T):
     cfg = heis()
     for text in ("w1*wbar1", "c1", "2"):
-        with pytest.raises(ValueError, match=rf"finite T > 0, got T={T}"):
+        with pytest.raises(ValueError, match=rf"heat_expectation: T must be finite and positive, got T={T}"):
             heat_expectation(parse_poly(cfg, text), T)
 
 
