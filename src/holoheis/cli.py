@@ -132,23 +132,18 @@ def _mc_row(
     params: mc.MCParams,
     target: complex,
     est: mc.MCEstimate,
-    allowance: float = 0.0,
 ) -> dict:
     """Unified row for an MC estimate: `pass` reports the 3-sigma band, a
     miss inside 4 sigma keeps pass but tags the row, beyond 4 sigma fails."""
-    soft = est.within(target, 3.0, allowance)
-    hard = est.within(target, 4.0, allowance)
+    soft = est.within(target, 3.0)
+    hard = est.within(target, 4.0)
     name = experiment if soft else (experiment + ":hard4sigma" if hard else experiment)
     return _row(name, config, target, est.mean, bool(hard), stderr=est.stderr,
                 T=params.T, steps=params.steps, paths=params.paths, seed=params.seed)
 
 
 def _exact_row(
-    experiment: str,
-    config: GroupConfig,
-    target: complex,
-    estimate: complex,
-    tol: float,
+    experiment: str, config: GroupConfig, target: complex, estimate: complex, tol: float,
     T: float = 0.0,
 ) -> dict:
     gap = abs(complex(estimate) - complex(target))
@@ -156,17 +151,64 @@ def _exact_row(
     return _row(experiment, config, target, estimate, bool(gap <= tol * scale), T=T)
 
 
-def _chaos_ratio_row(
-    config: GroupConfig, coarse: float, fine: float, T: float, paths: int, seed: int
-) -> dict:
-    """Unified row for the ratio of chaos residuals at a step count and its
-    double: the residual is O(dt), so the ratio should be near 2. It passes
-    in [1.4, 2.8], or when the coarser residual is already at rounding level
+def _chaos_rows(
+    config: GroupConfig, f: Polynomial, cases: list[tuple[str, int]], T: float, paths: int,
+    seed: int, workers: int,
+) -> list[dict]:
+    """One residual row per (name, steps) case, then one "chaos:ratio" row
+    per pair of neighbouring cases. The residual is O(dt), so a ratio of
+    residuals at a step count and its double should be near 2. It passes in
+    [1.4, 2.8], or when the coarser residual is already at rounding level
     (<= 1e-20, e.g. for a polynomial linear in w), where the ratio is noise."""
-    ratio = coarse / fine if fine > 0 else float("inf")
-    good = 1.4 <= ratio <= 2.8 or coarse <= 1e-20
-    estimate = ratio if ratio != float("inf") else 0.0
-    return _row("chaos:ratio", config, 2.0, estimate, bool(good), T=T, paths=paths, seed=seed)
+    rows, means = [], []
+    for name, steps in cases:
+        est = mc.chaos_residual(config, f, mc.MCParams(T, steps, paths, seed), workers)
+        means.append(est.mean.real)
+        rows.append(_row(name, config, 0.0, est.mean.real, True, stderr=est.stderr,
+                         T=T, steps=steps, paths=paths, seed=seed))
+    for coarse, fine in zip(means[:-1], means[1:]):
+        ratio = coarse / fine if fine > 0 else float("inf")
+        good = 1.4 <= ratio <= 2.8 or coarse <= 1e-20
+        rows.append(_row("chaos:ratio", config, 2.0, ratio if ratio != float("inf") else 0.0,
+                         bool(good), T=T, paths=paths, seed=seed))
+    return rows
+
+
+def _heat_rows(
+    config: GroupConfig, cases: list[tuple[str, Polynomial]], params: mc.MCParams, workers: int
+) -> list[dict]:
+    """One row per (name, f) case: the heat average of f from one shared
+    simulation against its exact heat expectation."""
+    ests = mc.heat_sweep(config, [f for _, f in cases], params, workers)
+    return [_mc_row(name, config, params, heat_expectation(f, params.T), est)
+            for (name, f), est in zip(cases, ests)]
+
+
+def _skeleton_rows(
+    config: GroupConfig, cases: list[tuple[str, Polynomial, GroupElement]], params: mc.MCParams,
+    workers: int,
+) -> list[dict]:
+    """One row per (name, f, h) case: the translated heat average of f from
+    one shared simulation against the point value f(h)."""
+    ests = mc.skeleton_sweep(config, [(f, h) for _, f, h in cases], params, workers)
+    return [_mc_row(name, config, params, f.eval(h), est)
+            for (name, f, h), est in zip(cases, ests)]
+
+
+def _isometry_rows(
+    name: str, config: GroupConfig, f: Polynomial, alpha: FockTensor, T: float,
+    params: mc.MCParams | None = None, workers: int = 1,
+) -> list[dict]:
+    """The norm identity of holomorphic f at time T: the exact heat expectation
+    of |f|^2 against the Fock norm of its Taylor tensor alpha (the first row's
+    estimate), plus an "isometry:mc" row of the same expectation given params."""
+    sq = f.abs_sq()
+    exact = heat_expectation(sq, T).real
+    rows = [_exact_row(name, config, exact, fock_norm_sq(alpha, T), 1e-9, T=T)]
+    if params is not None:
+        est = mc.heat_mc(config, sq, params, workers=workers)
+        rows.append(_mc_row("isometry:mc", config, params, exact, est))
+    return rows
 
 
 def write_rows(rows: list[dict], columns: list[str], fmt: str, out, comments: list[str]):
@@ -216,10 +258,7 @@ def _random_holo_poly(config: GroupConfig, rng) -> Polynomial:
 def cmd_simulate(config: GroupConfig, args) -> tuple[list[dict], list[str]]:
     f = parse_poly(config, args.poly)
     params = mc.MCParams(args.T, args.steps, args.paths, args.seed)
-    target = heat_expectation(f, args.T)
-    est = mc.heat_mc(config, f, params, workers=args.workers)
-    rows = [_mc_row("simulate", config, params, target, est)]
-    return rows, UNIFIED_COLUMNS
+    return _heat_rows(config, [("simulate", f)], params, args.workers), UNIFIED_COLUMNS
 
 
 def cmd_taylor(config: GroupConfig, args) -> tuple[list[dict], list[str]]:
@@ -241,13 +280,8 @@ def cmd_isometry(config: GroupConfig, args) -> tuple[list[dict], list[str]]:
     f = parse_poly(config, args.poly)
     if not f.is_holomorphic():
         raise ValueError("isometry applies to holomorphic polynomials")
-    exact = heat_expectation(f.abs_sq(), args.T).real
-    fock = fock_norm_sq(taylor(f), args.T)
-    rows = [_exact_row("isometry:exact", config, exact, fock, 1e-9, T=args.T)]
-    if args.paths:
-        params = mc.MCParams(args.T, args.steps, args.paths, args.seed)
-        est = mc.heat_mc(config, f.abs_sq(), params, workers=args.workers)
-        rows.append(_mc_row("isometry:mc", config, params, exact, est))
+    params = mc.MCParams(args.T, args.steps, args.paths, args.seed) if args.paths else None
+    rows = _isometry_rows("isometry:exact", config, f, taylor(f), args.T, params, args.workers)
     return rows, UNIFIED_COLUMNS
 
 
@@ -255,25 +289,13 @@ def cmd_skeleton(config: GroupConfig, args) -> tuple[list[dict], list[str]]:
     f = parse_poly(config, args.poly)
     h = parse_point(config, args.point)
     params = mc.MCParams(args.T, args.steps, args.paths, args.seed)
-    target = f.eval(h)
-    est = mc.skeleton_mc(config, f, h, params, workers=args.workers)
-    rows = [_mc_row("skeleton", config, params, target, est)]
-    return rows, UNIFIED_COLUMNS
+    return _skeleton_rows(config, [("skeleton", f, h)], params, args.workers), UNIFIED_COLUMNS
 
 
 def cmd_chaos(config: GroupConfig, args) -> tuple[list[dict], list[str]]:
     f = parse_poly(config, args.poly)
-    steps_list = [int(s) for s in args.steps_list.split(",")]
-    rows = []
-    means = []
-    for steps in steps_list:
-        params = mc.MCParams(args.T, steps, args.paths, args.seed)
-        est = mc.chaos_residual(config, f, params, workers=args.workers)
-        means.append(est.mean.real)
-        rows.append(_row("chaos:residual", config, 0.0, est.mean.real, True, stderr=est.stderr,
-                         T=args.T, steps=steps, paths=args.paths, seed=args.seed))
-    for a, b in zip(means[:-1], means[1:]):
-        rows.append(_chaos_ratio_row(config, a, b, args.T, args.paths, args.seed))
+    cases = [("chaos:residual", int(s)) for s in args.steps_list.split(",")]
+    rows = _chaos_rows(config, f, cases, args.T, args.paths, args.seed, args.workers)
     return rows, UNIFIED_COLUMNS
 
 
@@ -341,55 +363,28 @@ def cmd_verify_all(config: GroupConfig, args) -> tuple[list[dict], list[str]]:
 
     # exact layer: norm identity, tensor relations, truncation invariants
     for i, f in enumerate(polys):
-        exact = heat_expectation(f.abs_sq(), 1.0).real
         alpha = taylor(f)
-        fock = fock_norm_sq(alpha, 1.0)
-        rows.append(_exact_row(f"isometry:exact:{i}", config, exact, fock, 1e-9, T=1.0))
-        rows.append(_exact_row(f"j0:{i}", config, 0.0, j0_residual(alpha), 1e-10))
-        rot = grading_pullback(alpha, 0.7)
-        rows.append(
-            _exact_row(
-                f"grading:{i}",
-                config,
-                fock_norm_sq(alpha, 1.0),
-                fock_norm_sq(rot, 1.0),
-                1e-12,
-                T=1.0,
-            )
-        )
+        iso = _isometry_rows(f"isometry:exact:{i}", config, f, alpha, 1.0)[0]
+        fock = iso["estimate_re"]  # the Fock norm of alpha at T = 1
         cut = fejer_truncate(alpha, max(alpha.maxrank, 1))
-        rows.append(
-            _exact_row(
-                f"fejer:{i}",
-                config,
-                alpha.scalar,
-                cut.scalar,
-                1e-12,
-            )
-        )
+        rows += [
+            iso,
+            _exact_row(f"j0:{i}", config, 0.0, j0_residual(alpha), 1e-10),
+            _exact_row(f"grading:{i}", config, fock,
+                       fock_norm_sq(grading_pullback(alpha, 0.7), 1.0), 1e-12, T=1.0),
+            _exact_row(f"fejer:{i}", config, alpha.scalar, cut.scalar, 1e-12),
+        ]
 
-    # heat kernel MC against the exact expectation
+    # heat kernel MC against the exact expectation, then the skeleton at a
+    # fixed off-center point, each on one simulation of the same paths
     params = mc.MCParams(1.0, 256, args.paths, seed + 1)
-    c_abs = parse_poly(config, "c1*cbar1")
-    target = heat_expectation(c_abs, 1.0)
-    rows.append(
-        _mc_row("simulate:c1", config, params, target, mc.heat_mc(config, c_abs, params, workers))
-    )
-    for i, f in enumerate(polys):
-        tgt = heat_expectation(f, 1.0)
-        rows.append(
-            _mc_row(f"meanvalue:{i}", config, params, tgt, mc.heat_mc(config, f, params, workers))
-        )
-
-    # skeleton at a fixed off-center point
-    h = GroupElement(
-        config,
-        np.linspace(0.2, 0.4, config.k) + 0.1j,
-        np.linspace(-0.3, 0.1, config.d) - 0.2j,
-    )
-    cases = [(f, h) for f in polys]
-    for i, est in enumerate(mc.skeleton_sweep(config, cases, params, workers)):
-        rows.append(_mc_row(f"skeleton:{i}", config, params, polys[i].eval(h), est))
+    heat = [("simulate:c1", parse_poly(config, "c1*cbar1"))]
+    heat += [(f"meanvalue:{i}", f) for i, f in enumerate(polys)]
+    rows += _heat_rows(config, heat, params, workers)
+    h = GroupElement(config, np.linspace(0.2, 0.4, config.k) + 0.1j,
+                     np.linspace(-0.3, 0.1, config.d) - 0.2j)
+    skeleton = [(f"skeleton:{i}", f, h) for i, f in enumerate(polys)]
+    rows += _skeleton_rows(config, skeleton, params, workers)
 
     # iterated-integral isometry, ranks 1..2
     alphas = []
@@ -411,14 +406,8 @@ def cmd_verify_all(config: GroupConfig, args) -> tuple[list[dict], list[str]]:
 
     # chaos residual ratio on a fixed quadratic
     fq = parse_poly(config, "w1^2 + w1*c1")
-    res = []
-    for steps in (128, 256):
-        p = mc.MCParams(1.0, steps, max(args.paths // 2, 500), seed + 3)
-        r = mc.chaos_residual(config, fq, p, workers)
-        res.append(r.mean.real)
-        rows.append(_row(f"chaos:residual:{steps}", config, 0.0, r.mean.real, True,
-                         stderr=r.stderr, T=p.T, steps=steps, paths=p.paths, seed=p.seed))
-    rows.append(_chaos_ratio_row(config, res[0], res[1], p.T, p.paths, p.seed))
+    cases = [(f"chaos:residual:{steps}", steps) for steps in (128, 256)]
+    rows += _chaos_rows(config, fq, cases, 1.0, max(args.paths // 2, 500), seed + 3, workers)
 
     # gaussian moments of the flat part
     phi = rng.normal(size=config.k) + 1j * rng.normal(size=config.k)

@@ -22,7 +22,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .group import GroupConfig, GroupElement, _check_count, _check_time, k_omega
+from .group import GroupConfig, GroupElement, _check_count, _check_seed, _check_time, k_omega
 from .poly import Polynomial, heat_expectation
 from .mc import MCParams, lp_norm_mc
 
@@ -124,10 +124,11 @@ def distance_upper(
     candidate is the length of an actual path; scipy's precision-loss status
     at a stationary point changes nothing. The single straight segment is
     always a candidate, so the result never exceeds sqrt(|w|^2 + |c|^2).
-    segments and restarts must be integers >= 1.
+    segments and restarts must be integers >= 1, seed an integer in [0, 2^64).
     """
     _check_count("segments", segments)
     _check_count("restarts", restarts)
+    _check_seed("seed", seed)
     from scipy.optimize import minimize
 
     straight = path_length(config, [config.identity(), h])

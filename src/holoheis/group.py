@@ -43,10 +43,16 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def _check_seed(name: str, seed) -> None:
+    """The one rule for a random seed: an integer in [0, 2^64), not a bool."""
+    if not _is_int(seed) or not 0 <= seed < 2**64:
+        raise ValueError(f"{name} must be an integer in [0, 2^64), got {seed!r}")
+
+
 def _check_time(name: str, T) -> None:
-    """The one rule for a heat time T: finite and positive; name is the caller."""
-    if not math.isfinite(T) or T <= 0:
-        raise ValueError(f"{name}: T must be finite and positive, got T={T}")
+    """The one rule for a heat time T: a finite positive real, not a bool."""
+    if isinstance(T, bool) or not isinstance(T, numbers.Real) or not math.isfinite(T) or T <= 0:
+        raise ValueError(f"{name}: T must be finite and positive, got T={T!r}")
 
 
 class GroupConfig:

@@ -9,9 +9,10 @@ exact targets elsewhere in the package are derived under this convention.
 Reproducibility contract: every path is a pure function of (seed, path_index)
 through a counter-based Philox stream, and reductions combine fixed-size
 batches of BATCH = 512 paths in index order with Kahan compensation, so
-results are bit-identical for any worker count. The batch size changes
-rounding only, never the paths: estimates differ from the earlier 2048-path
-batches by at most 1.3e-14 relative on the `verify-all` rows.
+results are bit-identical for any worker count. Every estimator hands the
+reducer one contiguous row of samples per estimate, so an estimate's bits do
+not depend on what is estimated beside it: a sweep column equals the lone
+estimator on the same inputs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GroupConfig, GroupElement, _check_count, _check_time, _is_int
+from .group import GroupConfig, GroupElement, _check_count, _check_seed, _check_time
 from .poly import Polynomial
 from .fock import FockTensor, taylor
 
@@ -65,8 +66,7 @@ class MCParams:
         _check_time("MCParams", self.T)
         _check_count("MCParams: steps", self.steps)
         _check_count("MCParams: paths", self.paths)
-        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
-            raise ValueError(f"MCParams: seed must be an integer in [0, 2^64), got {self.seed!r}")
+        _check_seed("MCParams: seed", self.seed)
 
     @property
     def dt(self) -> float:
@@ -247,16 +247,17 @@ def _estimate(sum1: complex, sum2: float, n: int) -> MCEstimate:
 
 
 def _sample_means(params: MCParams, workers: int, batch_fn) -> list[MCEstimate]:
-    """Run batch_fn(start, count) -> (count, ncols) complex samples over fixed
-    batches (optionally in a thread pool), combine the column sums and
-    absolute squares in batch order, and return one estimate per column.
-    Every estimator passes its `workers` here, so this is where it is checked."""
+    """Run batch_fn(start, count) -> (ncols, count) complex samples over fixed
+    batches (optionally in a thread pool), combine the row sums and absolute
+    squares in batch order, and return one estimate per row. Each row is
+    summed as one contiguous run, so its estimate does not depend on the
+    other rows. Every estimator passes its `workers` here to be checked."""
     _check_count("workers", workers)
     ranges = _batch_ranges(params.paths)
 
     def partial(args):
         x = batch_fn(*args)
-        return x.sum(axis=0), (np.abs(x) ** 2).sum(axis=0)
+        return x.sum(axis=1), (np.abs(x) ** 2).sum(axis=1)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -298,11 +299,11 @@ def skeleton_mc(
 def heat_sweep(
     config: GroupConfig, polys: list[Polynomial], params: MCParams, workers: int = 1
 ) -> list[MCEstimate]:
-    """heat_mc for several polynomials on one shared simulation."""
+    """heat_mc for several polynomials on one shared simulation, bit for bit."""
 
     def batch(start, count):
         W, C = _terminal_batch(config, params, start, count)
-        return np.stack([f.eval_batch(W, C) for f in polys], axis=1)
+        return np.stack([f.eval_batch(W, C) for f in polys])
 
     return _sample_means(params, workers, batch)
 
@@ -313,7 +314,7 @@ def skeleton_sweep(
     params: MCParams,
     workers: int = 1,
 ) -> list[MCEstimate]:
-    """skeleton_mc for several (f, h) cases on one shared simulation."""
+    """skeleton_mc for several (f, h) cases on one shared simulation, bit for bit."""
 
     def batch(start, count):
         W, C = _terminal_batch(config, params, start, count)
@@ -321,7 +322,7 @@ def skeleton_sweep(
         for f, h in cases:
             Wt, Ct = _translate(config, h, W, C)
             cols.append(f.eval_batch(Wt, Ct))
-        return np.stack(cols, axis=1)
+        return np.stack(cols)
 
     return _sample_means(params, workers, batch)
 
@@ -346,10 +347,11 @@ def heat_mc_grid(
     def batch(start, count):
         W, C = _group_paths(config, _increment_batch(config, params, start, count))
         # one eval_batch over all (path, grid time) points, so the number of
-        # Python calls does not grow with the number of batches
+        # Python calls does not grow with the number of batches; copying the
+        # values time-major moves less memory than copying W and C time-major
         W, C = W[:, ::stride], C[:, ::stride]
         values = f.eval_batch(W.reshape(-1, config.k), C.reshape(-1, config.d))
-        return values.reshape(count, len(idx))
+        return np.ascontiguousarray(values.reshape(count, len(idx)).T)
 
     return idx * params.dt, _sample_means(params, workers, batch)
 
@@ -459,8 +461,8 @@ def chaos_isometry_mc(
     L = len(alphas)
 
     def batch(start, count):
-        x = _pairings(alphas, _increment_batch(config, params, start, count))
-        return (x[:, :, None] * x.conj()[:, None, :]).reshape(count, L * L)
+        x = _pairings(alphas, _increment_batch(config, params, start, count)).T
+        return (x[:, None] * x.conj()[None, :]).reshape(L * L, count)
 
     ests = _sample_means(params, workers, batch)
     cov = np.array([e.mean for e in ests]).reshape(L, L)
@@ -481,7 +483,7 @@ def chaos_residual(
         paired = _pairings([alpha], inc)[:, 0]
         W, C = _group_paths(config, inc)
         direct = f.eval_batch(W[:, -1], C[:, -1])
-        return (np.abs(direct - paired) ** 2).astype(complex)[:, None]
+        return (np.abs(direct - paired) ** 2).astype(complex)[None]
 
     return _sample_means(params, workers, batch)[0]
 
@@ -495,7 +497,7 @@ def lp_norm_mc(
 
     def batch(start, count):
         W, C = _terminal_batch(config, params, start, count)
-        return (np.abs(f.eval_batch(W, C)) ** p).astype(complex)[:, None]
+        return (np.abs(f.eval_batch(W, C)) ** p).astype(complex)[None]
 
     return _sample_means(params, workers, batch)[0]
 
@@ -519,8 +521,7 @@ def gaussian_moment_check(
         val = B_T @ phi
         return np.stack(
             [np.exp(val), (val.real**2).astype(complex), (val.imag**2).astype(complex),
-             (np.abs(val) ** 2).astype(complex)],
-            axis=1,
+             (np.abs(val) ** 2).astype(complex)]
         )
 
     names = ["exp_mean", "re_sq", "im_sq", "abs_sq"]

@@ -223,6 +223,23 @@ def test_verify_all_finds_the_distance_bound_once(monkeypatch, capsys):
     assert calls == [dict(segments=3, restarts=2, seed=8)]
 
 
+def test_verify_all_simulates_the_heat_rows_once(monkeypatch, capsys):
+    # simulate:c1 and the three meanvalue rows share one heat_sweep
+    calls = []
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("heat_sweep", "heat_mc"):
+        monkeypatch.setattr(cli.mc, name, counted(name, getattr(cli.mc, name)))
+    code, _, _ = run(capsys, ["verify-all", "--paths", "500", "--seed", "3"])
+    assert code == 0
+    assert calls == ["heat_sweep"]
+
+
 def test_verify_all_builds_each_taylor_tensor_once(monkeypatch, capsys):
     # three polynomials, and each one's tensor serves all four exact rows
     calls = []

@@ -20,7 +20,7 @@ from holoheis.group import (
 )
 from holoheis import mc
 from holoheis.fock import fejer_truncate, fock_inner, fock_norm_sq, taylor
-from holoheis.geometry import bargmann_check, gaussian_bound_check
+from holoheis.geometry import bargmann_check, distance_upper, gaussian_bound_check
 from holoheis.poly import heat_expectation, parse_poly
 from holoheis.projection import projection_convergence
 
@@ -237,7 +237,7 @@ def test_config_is_immutable():
 
 
 def _rule_entry_points():
-    """(id, call, pattern) for each entry point of the count and time rules.
+    """(id, call, pattern) for each entry point of the count, seed and time rules.
     MCParams counts and the distance_upper counts are pinned in test_mc and
     test_geometry."""
     cfg = heis()
@@ -248,6 +248,7 @@ def _rule_entry_points():
     h = GroupElement(cfg, [0.4, 0.1], [0.2j])
     count = "must be an integer >= 1, got"
     time = "T must be finite and positive, got T=-1.0"
+    seed = r"seed must be an integer in \[0, 2\^64\), got"
     return [
         ("config-k-2.7", lambda: GroupConfig(2.7, 1, SKEW),
          r"config: k and d must be integers, got k=2\.7, d=1"),
@@ -268,10 +269,19 @@ def _rule_entry_points():
         ("taylor-3.5", lambda: taylor(f, maxrank=3.5),
          r"taylor: maxrank must be an integer, got 3\.5"),
         ("heat_expectation", lambda: heat_expectation(f, -1.0), f"heat_expectation: {time}"),
+        ("heat_expectation-True", lambda: heat_expectation(f, True),
+         "heat_expectation: T must be finite and positive, got T=True"),
+        ("heat_expectation-str", lambda: heat_expectation(f, "1"),
+         "heat_expectation: T must be finite and positive, got T='1'"),
+        ("heat_expectation-complex", lambda: heat_expectation(f, 1 + 0j),
+         r"heat_expectation: T must be finite and positive, got T=\(1\+0j\)"),
         ("fock_norm_sq", lambda: fock_norm_sq(alpha, -1.0), f"fock_norm_sq: {time}"),
         ("fock_inner", lambda: fock_inner(alpha, alpha, -1.0), f"fock_inner: {time}"),
         ("projection_convergence", lambda: projection_convergence(cfg, f, -1.0),
          f"projection_convergence: {time}"),
+        ("distance_upper-seed--1", lambda: distance_upper(cfg, h, seed=-1), f"{seed} -1"),
+        ("distance_upper-seed-2.5", lambda: distance_upper(cfg, h, seed=2.5), rf"{seed} 2\.5"),
+        ("distance_upper-seed-True", lambda: distance_upper(cfg, h, seed=True), f"{seed} True"),
         ("bargmann_check", lambda: bargmann_check(cfg, f, h, -1.0, d_up=0.5),
          f"pointwise bound: {time}"),
         ("gaussian_bound_check", lambda: gaussian_bound_check(cfg, f, h, -1.0, d_up=0.5),

@@ -192,8 +192,8 @@ def test_skeleton_reproduces_point_values():
 
 
 def test_sweeps_match_single_runs():
-    # same paths, so agreement is to roundoff; bit-exactness is only promised
-    # for a fixed call shape across worker counts
+    # same paths and one contiguous reduction per column, so a sweep column
+    # agrees with the single run (bit for bit: see the test below)
     cfg = heis()
     params = mc.MCParams(T=1.0, steps=32, paths=4000, seed=6)
     polys = [parse_poly(cfg, t) for t in ("w1", "c1*cbar1")]
@@ -204,6 +204,21 @@ def test_sweeps_match_single_runs():
         assert est.stderr == pytest.approx(single.stderr, rel=1e-9)
     again = mc.heat_sweep(cfg, polys, params, workers=3)
     assert [e.mean for e in sweep] == [e.mean for e in again]
+
+
+def test_sweep_columns_equal_lone_estimators_bit_for_bit():
+    # each column is reduced as one contiguous row, so its neighbours do not
+    # change its rounding; 1300 paths end in a short batch
+    cfg = heis()
+    params = mc.MCParams(T=1.0, steps=16, paths=1300, seed=9)
+    g, f, k = (parse_poly(cfg, t) for t in ("w1*c1 + 2", "w1^2*cbar1 - 3*w2", "c1*cbar1"))
+    h = GroupElement(cfg, np.array([0.4 - 0.1j, 0.2j]), np.array([-0.3 + 0.5j]))
+    lone = mc.heat_mc(cfg, f, params)
+    column = mc.heat_sweep(cfg, [g, f, k], params)[1]
+    assert column.mean == lone.mean and column.stderr == lone.stderr
+    lone = mc.skeleton_mc(cfg, f, h, params)
+    column = mc.skeleton_sweep(cfg, [(g, h), (f, h), (k, cfg.identity())], params, workers=2)[1]
+    assert column.mean == lone.mean and column.stderr == lone.stderr
 
 
 def test_heat_mc_grid_is_flat_for_holomorphic():
