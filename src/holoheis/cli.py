@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .group import GroupConfig, GroupElement, _check_count
+from .group import GroupConfig, GroupElement, _check_count, _check_seed
 from .poly import Polynomial, parse_poly, heat_expectation
 from .fock import (
     FockTensor,
@@ -324,6 +324,7 @@ def cmd_project(config: GroupConfig, args) -> tuple[list[dict], list[str]]:
 
 def cmd_bounds(config: GroupConfig, args) -> tuple[list[dict], list[str]]:
     _check_count("count", args.count)
+    _check_seed("--seed", args.seed)
     rng = np.random.default_rng(args.seed)
     rows = []
     for i in range(args.count):
@@ -357,6 +358,7 @@ def cmd_verify_all(config: GroupConfig, args) -> tuple[list[dict], list[str]]:
     """Reduced battery touching every experiment; deterministic given seed."""
     rows: list[dict] = []
     seed = args.seed
+    _check_seed("--seed", seed)
     workers = args.workers
     rng = np.random.default_rng(seed)
     polys = [_random_holo_poly(config, rng) for _ in range(3)]

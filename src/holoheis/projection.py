@@ -198,8 +198,9 @@ def kappa(proj: Projection, directions: list[GroupElement]) -> FockTensor:
     component of the pushed direction or differentiates a coefficient along
     the raw direction. So the state after m steps depends only on k_1..k_m,
     and pullback_taylor shares it between checked tuples with a common
-    suffix. The tensor holds each tuple's constant term. Evaluated at the
-    identity, the result pairs linearly with taylor(f):
+    suffix. Every step here is taken in full; the tensor holds each tuple's
+    constant term. Evaluated at the identity, the result pairs linearly with
+    taylor(f):
 
         (h~_1 ... h~_n (f o pi_P))(e) = sum_u kappa[u] * taylor(f)[u],
 
@@ -235,17 +236,55 @@ def _check_tuples(cfg: GroupConfig, maxrank: int) -> list[tuple]:
     return sorted(set(out))
 
 
+def _constant_units(hol: tuple) -> list[tuple[tuple, complex]]:
+    """The degree-one monomials that D_h turns into constants, each with its
+    scale: (w_j, A_j) and (c_m, a_m) for the kernel arguments hol = (A, a, OmA)."""
+    A, a, _ = hol
+    zero = (0,) * (2 * (len(A) + len(a)))
+    return [(zero[:i] + (1,) + zero[i + 1:], s) for i, s in enumerate(A + a) if s]
+
+
+def _last_constants(
+    state: dict[tuple, dict], units: list, comps: list, zero: tuple
+) -> dict[tuple, complex]:
+    """The constant terms of `_kappa_step(state, hol, comps)`, read off the
+    given state without building the step; units = _constant_units(hol) and
+    zero is the exponent key of the monomial 1.
+
+    Only a degree-one monomial of an entry gives D_h a constant: A_j times
+    its coefficient [w_j] and a_m times [c_m]. A component (l, const, linear)
+    gives entry (l,) + K the constant const * [1] of entry K; its linear part
+    never yields a constant. Keys are touched in the order the step touches
+    them and constants at or below CLEANUP_TOL are dropped as the step drops
+    them, so a rank-by-rank pairing sums in the order of kappa's tensor.
+    """
+    out: dict[tuple, complex] = {}
+    for key, terms in state.items():
+        z = out.get(key, 0j)
+        for mono, s in units:
+            if mono in terms:
+                z += s * terms[mono]
+        out[key] = z
+        one = terms.get(zero, 0j)
+        for l, const, _ in comps:
+            ext = (l,) + key
+            out[ext] = out.get(ext, 0j) + const * one
+    return {key: z for key, z in out.items() if abs(z) > CLEANUP_TOL}
+
+
 def _route_b(proj: Projection, alpha: FockTensor, tuples: list[tuple]):
     """Yield (t, route-b value of the Taylor entry of f o pi_P at t) for each
     tuple, where alpha = taylor(f).
 
     The kappa state of t is one step along t[0] from the state of its proper
     suffix t[1:]. Missing suffix states are built shortest first and kept for
-    this call only; the state of each t is built afresh from its suffix,
-    paired and dropped at once.
+    this call only. Only the constant terms of t's own state are paired, so
+    they are read off the suffix state in closed form (`_last_constants`)
+    and t's state is never built.
     """
     cfg = proj.config
     hols = [hol for hol, _ in _basis_halves(cfg)]
+    units = [_constant_units(hol) for hol in hols]
     comps = [_direction_coefficients(proj, h) for h in cfg.basis()]
     zero = Polynomial._zero_key(cfg)
     suffixes: dict[tuple, dict] = {(): {(): {zero: 1 + 0j}}}
@@ -254,12 +293,12 @@ def _route_b(proj: Projection, alpha: FockTensor, tuples: list[tuple]):
             s = t[j:]
             if s not in suffixes:
                 suffixes[s] = _kappa_step(suffixes[s[1:]], hols[s[0]], comps[s[0]])
-        state = _kappa_step(suffixes[t[1:]], hols[t[0]], comps[t[0]])
+        consts = _last_constants(suffixes[t[1:]], units[t[0]], comps[t[0]], zero)
         # rank by rank in state order, as the pairing of kappa's tensor runs
         value = 0j
-        for key in sorted(state, key=len):
-            if key and zero in state[key]:
-                value += state[key][zero] * alpha.entry(key)
+        for key in sorted(consts, key=len):
+            if key:
+                value += consts[key] * alpha.entry(key)
         yield t, value
 
 
@@ -288,9 +327,12 @@ def pullback_taylor(
     pairs kappa tensors against taylor(f) without ever forming the composite.
     Disagreement beyond 1e-10 on the checked tuple set raises, since it means
     the two derivative calculi have diverged. Route b builds the kappa state
-    of each proper suffix of a checked tuple once per call and reaches each
-    tuple by one more step from its suffix, which gives exactly the tensor
-    `kappa` would build from scratch.
+    of each proper suffix of a checked tuple once per call. It never builds
+    a checked tuple's own state: the constant of a step along (A, a) at key K
+    is sum_j A_j [w_j] + sum_m a_m [c_m] of the suffix entry K, plus const_l
+    times its constant [1] at key (l,) + K for each pushed component
+    (l, const, linear). This pairs exactly as the tensor `kappa` would build
+    from scratch, taking every step in full.
     """
     return _checked_pullback(proj, f, taylor(f), maxrank)
 

@@ -69,6 +69,13 @@ def test_bad_mc_parameters_exit_2(capsys):
     assert code == 2 and out == "" and err.startswith("error: p must")
 
 
+@pytest.mark.parametrize("command", [["bounds", "--count", "1"], ["verify-all"]])
+def test_negative_seed_is_named(capsys, command):
+    code, out, err = run(capsys, command + ["--seed", "-1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: --seed must be an integer")
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_bad_workers_exit_2(capsys, workers):
     argv = ["simulate", "--poly", "w1", "--paths", "10", "--steps", "4", "--workers", workers]

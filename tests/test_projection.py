@@ -246,7 +246,8 @@ def test_pullback_builds_each_suffix_state_once(monkeypatch, case):
     pullback_taylor(proj, f)
     suffixes = {t[j:] for t in checked for j in range(1, len(t))}
     assert calls["coefficients"] == proj.config.n
-    assert calls["steps"] == len(suffixes) + len(checked)
+    # one step per distinct proper suffix; a checked tuple's own state is never built
+    assert calls["steps"] == len(suffixes)
     if case == "sampled":
         assert len(checked) < sum(proj.config.n**r for r in range(1, 5))
 
@@ -269,6 +270,84 @@ def test_route_b_equals_public_kappa_pairing(case):
     assert sum(1 for v in values.values() if v != 0) >= 5
 
 
+def random_form(k, d, rng):
+    raw = rng.normal(size=(d, k, k)) + 1j * rng.normal(size=(d, k, k))
+    return GroupConfig(k, d, raw - np.transpose(raw, (0, 2, 1)))
+
+
+def random_holo(cfg, rng, terms=6):
+    """A holomorphic polynomial of graded degree <= 4 with a constant term
+    and every coordinate w_j and c_m as a degree-one term."""
+    f = Polynomial.constant(cfg, complex(rng.normal(), rng.normal()))
+    for i in range(cfg.n):
+        f = f + complex(rng.normal(), rng.normal()) * Polynomial.coordinate(cfg, i)
+    for _ in range(terms):
+        mono = Polynomial.constant(cfg, complex(rng.normal(), rng.normal()))
+        budget = int(rng.integers(2, 5))
+        while budget > 0:
+            i = int(rng.integers(0, cfg.k if budget == 1 else cfg.n))
+            mono = mono * Polynomial.coordinate(cfg, i)
+            budget -= 1 if i < cfg.k else 2
+        f = f + mono
+    return f
+
+
+def oblique(cfg, rank, rng):
+    shape = (cfg.k, rank)
+    q, _ = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    return Projection(cfg, q.T)
+
+
+@pytest.mark.parametrize("k, d, rank", [(3, 2, 1), (4, 1, 3), (5, 2, 2)])
+def test_route_b_closed_form_matches_kappa_on_oblique_projections(k, d, rank):
+    # route b reads the last step's constants in closed form; kappa takes
+    # every step in full, so the two meet only if the closed form is right
+    rng = np.random.default_rng(100 * k + d)
+    cfg = random_form(k, d, rng)
+    f = random_holo(cfg, rng)
+    proj = oblique(cfg, rank, rng)
+    alpha = taylor(f)
+    nonzero = 0
+    for t, value in projection._route_b(proj, alpha, projection._check_tuples(cfg, alpha.maxrank)):
+        kap = kappa(proj, [cfg.basis_direction(i) for i in reversed(t)])
+        expected = sum(
+            coeff * alpha.entry(key)
+            for r in range(1, kap.maxrank + 1)
+            for key, coeff in kap.ranks[r].items()
+        )
+        assert abs(value - expected) <= 1e-13 * max(1.0, abs(value)), t
+        nonzero += abs(value) > 1e-12
+    assert nonzero >= 10
+
+
+@pytest.mark.parametrize("k, d", [(3, 2), (4, 1)])
+def test_last_constants_match_full_step(k, d):
+    # entries holding several degree-one terms in w and c at once, stepped
+    # along raw (not basis) directions: every term of the closed form is live.
+    # Entry (0,) has no degree-one term, so its constant comes only from the
+    # later entry () and its place in the step's order from its own key.
+    rng = np.random.default_rng(7 * k + d)
+    cfg = random_form(k, d, rng)
+    proj = oblique(cfg, k - 1, rng)
+    zero = Polynomial._zero_key(cfg)
+    state = {(0,): parse_poly(cfg, "w1*w2").terms}
+    for key in [(1,), (), (cfg.k,), (1, 0), (cfg.n - 1, 2)]:
+        state[key] = random_holo(cfg, rng, terms=3).terms
+    for _ in range(4):
+        h = rand_elem(cfg, rng)
+        hol = projection._halves(h)[0]
+        comps = projection._direction_coefficients(proj, h)
+        assert any(const for _, const, _ in comps)
+        step = projection._kappa_step(state, hol, comps)
+        full = {key: terms[zero] for key, terms in step.items() if zero in terms}
+        units = projection._constant_units(hol)
+        assert len(units) == cfg.n
+        closed = projection._last_constants(state, units, comps, zero)
+        assert list(closed) == list(full)
+        for key, z in full.items():
+            assert abs(closed[key] - z) <= 1e-13 * max(1.0, abs(z)), key
+
+
 def test_route_b_stays_independent_of_route_a(monkeypatch):
     # a wrong central shift must surface as a route disagreement, which it
     # could not if route b read its values from route a
@@ -287,6 +366,27 @@ def test_route_b_stays_independent_of_route_a(monkeypatch):
         return out
 
     monkeypatch.setattr(projection, "_direction_coefficients", doubled_shift)
+    with pytest.raises(AssertionError, match="routes disagree"):
+        pullback_taylor(proj, f)
+
+
+@pytest.mark.parametrize("part", ["horizontal", "central"])
+@pytest.mark.parametrize("case", ["coordinate", "oblique"])
+def test_route_b_fails_a_wrong_constant(monkeypatch, case, part):
+    # the closed form reads only const and the degree-one coefficients at
+    # the last step, so a wrong const must still surface as a disagreement
+    proj, f = route_b_cases()[case]
+    k = proj.config.k
+    pullback_taylor(proj, f)
+    honest = projection._direction_coefficients
+
+    def doubled_const(proj, h):
+        return [
+            (l, 2 * const if (l >= k) == (part == "central") else const, linear)
+            for l, const, linear in honest(proj, h)
+        ]
+
+    monkeypatch.setattr(projection, "_direction_coefficients", doubled_const)
     with pytest.raises(AssertionError, match="routes disagree"):
         pullback_taylor(proj, f)
 
