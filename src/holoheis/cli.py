@@ -324,7 +324,7 @@ def cmd_project(config: GroupConfig, args) -> tuple[list[dict], list[str]]:
 
 def cmd_bounds(config: GroupConfig, args) -> tuple[list[dict], list[str]]:
     _check_count("count", args.count)
-    _check_seed("--seed", args.seed)
+    _check_seed("--seed", args.seed, args.count - 1)  # case i uses seed + i
     rng = np.random.default_rng(args.seed)
     rows = []
     for i in range(args.count):
@@ -358,7 +358,7 @@ def cmd_verify_all(config: GroupConfig, args) -> tuple[list[dict], list[str]]:
     """Reduced battery touching every experiment; deterministic given seed."""
     rows: list[dict] = []
     seed = args.seed
-    _check_seed("--seed", seed)
+    _check_seed("--seed", seed, 5)  # the steps below use seed + 1 .. seed + 5
     workers = args.workers
     rng = np.random.default_rng(seed)
     polys = [_random_holo_poly(config, rng) for _ in range(3)]

@@ -43,10 +43,13 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
-def _check_seed(name: str, seed) -> None:
-    """The one rule for a random seed: an integer in [0, 2^64), not a bool."""
-    if not _is_int(seed) or not 0 <= seed < 2**64:
-        raise ValueError(f"{name} must be an integer in [0, 2^64), got {seed!r}")
+def _check_seed(name: str, seed, derived: int = 0) -> None:
+    """The one rule for a random seed: an integer in [0, 2^64), not a bool.
+    A caller that also draws with seed + 1 .. seed + derived passes
+    `derived`, so those seeds are in range too."""
+    if not _is_int(seed) or not 0 <= seed < 2**64 - derived:
+        top = f"2^64 - {derived}" if derived else "2^64"
+        raise ValueError(f"{name} must be an integer in [0, {top}), got {seed!r}")
 
 
 def _check_time(name: str, T) -> None:

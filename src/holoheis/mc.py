@@ -6,8 +6,13 @@ Normalization: over a grid step dt each complex coordinate increment has
 independent real and imaginary parts of variance dt/2, so E|dZ|^2 = dt. All
 exact targets elsewhere in the package are derived under this convention.
 
+Sampling: path i's increments are numpy's ziggurat normals
+(Generator.standard_normal) drawn from a fresh counter-based
+Philox(key=(seed, i)) stream, in (step, coordinate, Re/Im) order, scaled by
+sqrt(dt/2).
+
 Reproducibility contract: every path is a pure function of (seed, path_index)
-through a counter-based Philox stream, and reductions combine fixed-size
+through its own Philox stream, and reductions combine fixed-size
 batches of BATCH = 512 paths in index order with Kahan compensation, so
 results are bit-identical for any worker count. Every estimator hands the
 reducer one contiguous row of samples per estimate, so an estimate's bits do
@@ -49,9 +54,9 @@ __all__ = [
 
 # Fixed reduction granularity; never derived from the worker count, so the
 # batch boundaries (and hence rounding) are identical however work is spread.
-# 512 paths keep one batch's increments, uniforms and paths to a few tens of
-# MB at 512 steps, and split a 2048-path call into four batches, so a
-# two-worker pool has work for both threads.
+# 512 paths keep one batch's increments and paths to a few tens of MB at 512
+# steps, and split a 2048-path call into four batches, so a two-worker pool
+# has work for both threads.
 BATCH = 512
 
 
@@ -122,39 +127,20 @@ class GroupPath:
         return GroupElement(self.config, self.W[-1], self.C[-1])
 
 
-def _box_muller(u: np.ndarray, scale: float) -> np.ndarray:
-    """scale * z for standard complex Gaussians z (E|z|^2 = 2) from uniform
-    pairs u[..., 0:2].
-
-    cos and sin are written straight into the real and imaginary parts, then
-    multiplied by r and only after that by the scale: bit for bit
-    scale * (r * exp(2j*pi*u1)) without the complex temporaries.
-    """
-    r = np.log1p(-u[..., 0])  # 1-u in (0,1] avoids log(0)
-    r *= -2.0
-    np.sqrt(r, out=r)
-    theta = 2.0 * np.pi * u[..., 1]
-    z = np.empty(r.shape, complex)
-    np.cos(theta, out=z.real)
-    np.sin(theta, out=z.imag)
-    z.real *= r
-    z.imag *= r
-    z *= scale
-    return z
-
-
 def _increment_batch(config: GroupConfig, params: MCParams, start: int, count: int) -> np.ndarray:
     """Complex increments for paths [start, start+count), shape (count, steps, n).
 
-    Path i draws from the Philox stream keyed (seed, i). Layout inside a path
-    stream is (step, coordinate, uniform pair); the Box-Muller pair becomes
-    one complex coordinate increment of total variance dt. One bit generator
-    serves the batch: before each path its state is set to that of a fresh
-    Philox(key=(seed, i)) (counter 0, empty buffer), so every path's stream
-    is the same however the paths are batched, and no seed material is built
-    per path.
+    Path i fills its (step, coordinate, Re/Im) normals with numpy's ziggurat
+    `standard_normal`, drawn from the Philox stream keyed (seed, i), and every
+    normal is scaled by sqrt(dt/2), so each complex coordinate increment has
+    total variance dt. One bit generator serves the batch: before each path
+    its state is set to that of a fresh Philox(key=(seed, i)) (counter 0,
+    empty buffer), so the variable number of draws a ziggurat takes cannot
+    leak from one path into the next, every path's stream is the same however
+    the paths are batched, and no seed material is built per path.
     """
-    u = np.empty((count, params.steps, config.n, 2), dtype=np.float64)
+    z = np.empty((count, params.steps, config.n), complex)
+    normals = z.view(np.float64).reshape(count, params.steps, config.n, 2)
     key = np.array([params.seed, 0], np.uint64)
     state = {
         "bit_generator": "Philox",
@@ -169,8 +155,9 @@ def _increment_batch(config: GroupConfig, params: MCParams, start: int, count: i
     for i in range(count):
         key[1] = start + i
         bitgen.state = state
-        gen.random(out=u[i])
-    return _box_muller(u, math.sqrt(params.dt / 2.0))
+        gen.standard_normal(out=normals[i])
+    normals *= math.sqrt(params.dt / 2.0)
+    return z
 
 
 def sample_path(config: GroupConfig, params: MCParams, path_index: int) -> BrownianPath:

@@ -76,6 +76,28 @@ def test_negative_seed_is_named(capsys, command):
     assert err.startswith("error: --seed must be an integer")
 
 
+@pytest.mark.parametrize(
+    "command, derived",
+    [(["bounds", "--count", "2"], 1), (["bounds", "--count", "4"], 3), (["verify-all"], 5)],
+    ids=["bounds_2", "bounds_4", "verify_all"],
+)
+def test_seed_whose_derived_seeds_overflow_is_named(capsys, command, derived):
+    # the subcommand also draws with seed + 1 .. seed + derived, and the
+    # largest must stay below 2^64; the error names --seed and the limit
+    # before any work is done
+    seed = 2**64 - derived
+    code, out, err = run(capsys, command + ["--seed", str(seed)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: --seed must be an integer in [0, 2^64 - {derived}), got {seed}")
+
+
+def test_largest_seed_whose_derived_seeds_fit_runs(capsys):
+    argv = ["bounds", "--count", "2", "--seed", str(2**64 - 2), "--paths", "10", "--steps", "4"]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert len(body(out).splitlines()) == 3
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_bad_workers_exit_2(capsys, workers):
     argv = ["simulate", "--poly", "w1", "--paths", "10", "--steps", "4", "--workers", workers]
@@ -184,9 +206,10 @@ def test_project_bad_T_exits_2(capsys):
         (["--poly", "w1 + 2*w2 + 1", "--steps-list", "16,32", "--paths", "200"], True, 0),
         (["--poly", "w1^2 + w1*c1", "--steps-list", "32,64", "--paths", "400", "--seed", "2"],
          False, 0),
-        (["--poly", "w1^2", "--steps-list", "8,16", "--paths", "20", "--seed", "1"], False, 1),
+        # an eightfold refinement: the residual ratio is about 8, not 2
+        (["--poly", "w1^2", "--steps-list", "8,64", "--paths", "400", "--seed", "1"], False, 1),
     ],
-    ids=["linear", "quadratic", "too_few_paths"],
+    ids=["linear", "quadratic", "not_a_doubling"],
 )
 def test_chaos_ratio_rows_and_exit(capsys, argv, escape, code):
     got, out, err = run(capsys, ["chaos"] + argv)

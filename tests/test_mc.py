@@ -94,18 +94,18 @@ def test_paths_deterministic_and_batch_independent():
 
 
 def test_increment_stream_matches_fresh_philox_per_path():
-    # reference: a fresh Philox keyed (seed, i) per path and the complex
-    # exponential form of Box-Muller; a batch that re-keys one generator
-    # must leave no counter or buffer state behind between paths
+    # reference: a fresh Philox keyed (seed, i) per path filling its
+    # (step, coordinate, Re/Im) normals; a batch that re-keys one generator
+    # must leave no counter or buffer state behind between paths, although a
+    # ziggurat takes a variable number of draws per normal
     cfg = heis()
     params = mc.MCParams(T=0.7, steps=5, paths=1, seed=2**63 + 11)
     start, count = 37, 6
-    u = np.empty((count, params.steps, cfg.n, 2))
+    normals = np.empty((count, params.steps, cfg.n, 2))
     for j in range(count):
         key = np.array([params.seed, start + j], np.uint64)
-        np.random.Generator(np.random.Philox(key=key)).random(out=u[j])
-    r = np.sqrt(-2.0 * np.log1p(-u[..., 0]))
-    ref = np.sqrt(params.dt / 2.0) * (r * np.exp(2j * np.pi * u[..., 1]))
+        np.random.Generator(np.random.Philox(key=key)).standard_normal(out=normals[j])
+    ref = normals.view(complex)[..., 0] * np.sqrt(params.dt / 2.0)
     assert np.array_equal(mc._increment_batch(cfg, params, start, count), ref)
     for j in range(count):
         assert np.array_equal(mc.sample_path(cfg, params, start + j).increments, ref[j])
@@ -232,6 +232,33 @@ def test_heat_mc_grid_is_flat_for_holomorphic():
     assert ests[0].mean == target and ests[0].stderr == 0.0
     for est in ests[1:]:
         assert est.within(target)
+
+
+def test_increment_parts_independent_with_gaussian_fourth_moment():
+    # Re and Im of dZ are independent N(0, dt/2): E[dZ^2] = 0 and
+    # E|dZ|^4 = 2 dt^2. A transform that writes one normal into both parts
+    # gives E[dZ^2] = i dt, one that skips the sqrt(1/2) gives E|dZ|^4 = 8 dt^2
+    cfg = heis()
+    params = mc.MCParams(T=2.0, steps=4, paths=4000, seed=3)
+    inc = np.concatenate(
+        [mc._increment_batch(cfg, params, s, c) for s, c in mc._batch_ranges(params.paths)]
+    ).ravel()
+    dt, sigmas = params.dt, 4.0
+
+    def within(samples, target):
+        stderr = np.std(samples, ddof=1) / np.sqrt(samples.size)
+        return abs(samples.mean() - target) <= sigmas * stderr
+
+    sq = inc**2
+    assert within(sq.real, 0.0) and within(sq.imag, 0.0)
+    assert within(np.abs(inc) ** 4, 2.0 * dt**2)
+
+    # an estimator over these paths, spread over several batches, has the
+    # same bits on one worker and on two
+    assert len(mc._batch_ranges(params.paths)) > 2
+    f = parse_poly(cfg, "w1*w2 + c1^2")
+    one, two = (mc.heat_mc(cfg, f, params, workers=w) for w in (1, 2))
+    assert (one.mean, one.stderr) == (two.mean, two.stderr)
 
 
 @pytest.mark.parametrize("estimator", ["heat_mc_grid", "skeleton_sweep", "lp_norm_mc"])
