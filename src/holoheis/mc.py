@@ -11,6 +11,12 @@ Sampling: path i's increments are numpy's ziggurat normals
 Philox(key=(seed, i)) stream, in (step, coordinate, Re/Im) order, scaled by
 sqrt(dt/2).
 
+Working set: a batch of paths holds its increments and, beside them, only
+O(BATCH x BLOCK) more. Group paths are built BLOCK steps at a time, and
+polynomials are evaluated on column views of each block (or of the terminal
+values), so no whole-grid W, C or evaluation array exists; `heat_mc_grid`
+adds its (times, paths) sample array.
+
 Reproducibility contract: every path is a pure function of (seed, path_index)
 through its own Philox stream, and reductions combine fixed-size
 batches of BATCH = 512 paths in index order with Kahan compensation, so
@@ -54,10 +60,17 @@ __all__ = [
 
 # Fixed reduction granularity; never derived from the worker count, so the
 # batch boundaries (and hence rounding) are identical however work is spread.
-# 512 paths keep one batch's increments and paths to a few tens of MB at 512
-# steps, and split a 2048-path call into four batches, so a two-worker pool
-# has work for both threads.
+# 512 paths keep one batch's increments to 12.6 MB at 512 steps and n = 3,
+# and split a 2048-path call into four batches, so a two-worker pool has
+# work for both threads.
 BATCH = 512
+
+# Steps per block of the group-path builder, `_path_blocks`. A batch's group
+# path exists one block at a time, so beside its increments a batch holds
+# O(BATCH x BLOCK) more memory, whatever the number of steps. The block
+# length never changes a result; a longer block makes fewer, larger numpy
+# calls and holds more memory.
+BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -166,29 +179,59 @@ def sample_path(config: GroupConfig, params: MCParams, path_index: int) -> Brown
     return BrownianPath(config, params, inc)
 
 
-def _group_paths(config: GroupConfig, inc: np.ndarray):
-    """Group Brownian paths on the whole grid from a batch of increments of
-    shape (count, steps, n): W of shape (count, steps+1, k) and C of shape
-    (count, steps+1, d), each with an exact zero row at t = 0.
+def _path_blocks(config: GroupConfig, inc: np.ndarray):
+    """The group Brownian paths of a batch of increments of shape
+    (count, steps, n), yielded in blocks of at most BLOCK steps.
+
+    Each block is (s, W, C) with W of shape (count, b+1, k) and C of shape
+    (count, b+1, d): column i holds the path at grid time s+i, so column 0
+    repeats the last column of the previous block (the exact zero at s = 0).
 
     The path is the left product of its increments under the group law,
     g(t_{s+1}) = g(t_s) . (dW_s, dC_s), so W is the cumulative sum of dW and
-    C the cumulative sum of dC_s + (1/2) omega(W_s, dW_s). The area term is
-    added one Omega_m at a time (one matmul, one two-operand einsum), which
-    keeps the temporaries to one (count, steps, k) array; C then takes one
-    cumulative sum. Every estimator that reads the group path builds it here.
+    C the cumulative sum of dC_s + (1/2) omega(W_s, dW_s). Each cumulative
+    sum starts from the carried column, so a block equals the same steps of
+    a one-shot cumulative sum over the whole grid bit for bit. The area term
+    takes one stacked matrix product per Omega_m and block; each stacked
+    matrix holds all b+1 grid times of up to 8 paths. Never one row: a
+    one-row product takes another BLAS kernel, whose rounding would make C
+    depend on the block length. Never many thousands: BLAS would spread the
+    product over threads, which costs milliseconds a call. Every estimator
+    that reads the group path builds it here.
     """
     count, steps, _ = inc.shape
-    k = config.k
-    dW = inc[:, :, :k]
-    W = np.zeros((count, steps + 1, k), complex)
-    np.cumsum(dW, axis=1, out=W[:, 1:])
-    C = np.zeros((count, steps + 1, config.d), complex)
-    dC = C[:, 1:]
-    dC[...] = inc[:, :, k:]
-    for m, om in enumerate(config.omega):
-        dC[:, :, m] += 0.5 * np.einsum("psj,psj->ps", W[:, :-1] @ om, dW)
-    np.cumsum(dC, axis=1, out=dC)
+    k, d = config.k, config.d
+    group = math.gcd(count, 8)
+    W = np.zeros((count, 1, k), complex)
+    C = np.zeros((count, 1, d), complex)
+    for s in range(0, steps, BLOCK):
+        b = min(BLOCK, steps - s)
+        dW = inc[:, s:s + b, :k]
+        W_next = np.empty((count, b + 1, k), complex)
+        W_next[:, 0] = W[:, -1]
+        W_next[:, 1:] = dW
+        np.cumsum(W_next, axis=1, out=W_next)
+        C_next = np.empty((count, b + 1, d), complex)
+        C_next[:, 0] = C[:, -1]
+        dC = C_next[:, 1:]
+        dC[...] = inc[:, s:s + b, k:]
+        stacked = W_next.reshape(count // group, group * (b + 1), k)
+        for m, om in enumerate(config.omega):
+            left = (stacked @ om).reshape(W_next.shape)[:, :-1]
+            dC[:, :, m] += 0.5 * np.einsum("psj,psj->ps", left, dW)
+        np.cumsum(C_next, axis=1, out=C_next)
+        W, C = W_next, C_next
+        yield s, W, C
+
+
+def _group_paths(config: GroupConfig, inc: np.ndarray):
+    """Group Brownian paths on the whole grid from a batch of increments of
+    shape (count, steps, n): W of shape (count, steps+1, k) and C of shape
+    (count, steps+1, d), each with an exact zero at t = 0. The blocks of
+    `_path_blocks` joined, for `group_path` and as a reference in tests."""
+    blocks = [(W[:, 1:], C[:, 1:]) if s else (W, C) for s, W, C in _path_blocks(config, inc)]
+    W = np.concatenate([w for w, _ in blocks], axis=1)
+    C = np.concatenate([c for _, c in blocks], axis=1)
     return W, C
 
 
@@ -198,10 +241,17 @@ def group_path(config: GroupConfig, b: BrownianPath) -> GroupPath:
     return GroupPath(config, b.times, W[0], C[0])
 
 
+def _terminal(config: GroupConfig, inc: np.ndarray):
+    """Terminal (W, C) of the group paths of a batch of increments; only one
+    block of the path is alive at a time."""
+    for _, W, C in _path_blocks(config, inc):
+        pass
+    return W[:, -1], C[:, -1]
+
+
 def _terminal_batch(config: GroupConfig, params: MCParams, start: int, count: int):
     """Terminal (W, C) of the group Brownian motion for one batch of paths."""
-    W, C = _group_paths(config, _increment_batch(config, params, start, count))
-    return W[:, -1], C[:, -1]
+    return _terminal(config, _increment_batch(config, params, start, count))
 
 
 class _Kahan:
@@ -328,17 +378,22 @@ def heat_mc_grid(
     """
     _check_count("stride", stride)
     if params.steps % stride:
-        raise ValueError("stride must divide steps")
+        raise ValueError(f"stride must divide steps, got stride={stride} and steps={params.steps}")
     idx = np.arange(0, params.steps + 1, stride)
 
     def batch(start, count):
-        W, C = _group_paths(config, _increment_batch(config, params, start, count))
-        # one eval_batch over all (path, grid time) points, so the number of
-        # Python calls does not grow with the number of batches; copying the
-        # values time-major moves less memory than copying W and C time-major
-        W, C = W[:, ::stride], C[:, ::stride]
-        values = f.eval_batch(W.reshape(-1, config.k), C.reshape(-1, config.d))
-        return np.ascontiguousarray(values.reshape(count, len(idx)).T)
+        # each block evaluates f once, on the grid times it owns, and writes
+        # the values straight into the time-major sample array
+        out = np.empty((len(idx), count), complex)
+        for s, W, C in _path_blocks(config, _increment_batch(config, params, start, count)):
+            # the block owns grid times s+1..s+b, and 0 if it is the first
+            first = s // stride + 1 if s else 0
+            rows = slice(first * stride - s, None, stride)
+            W, C = W[:, rows], C[:, rows]
+            times = W.shape[1]
+            values = f.eval_batch(W.reshape(-1, config.k), C.reshape(-1, config.d))
+            out[first:first + times] = values.reshape(count, times).T
+        return out
 
     return idx * params.dt, _sample_means(params, workers, batch)
 
@@ -468,8 +523,7 @@ def chaos_residual(
         inc = _increment_batch(config, params, start, count)
         # pairings first: their temporaries are freed before the paths exist
         paired = _pairings([alpha], inc)[:, 0]
-        W, C = _group_paths(config, inc)
-        direct = f.eval_batch(W[:, -1], C[:, -1])
+        direct = f.eval_batch(*_terminal(config, inc))
         return (np.abs(direct - paired) ** 2).astype(complex)[None]
 
     return _sample_means(params, workers, batch)[0]

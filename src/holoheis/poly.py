@@ -206,18 +206,42 @@ class Polynomial:
     # -- evaluation --------------------------------------------------------------
 
     def eval(self, g: GroupElement) -> complex:
+        if not _same_config(g.config, self.config):
+            raise ValueError(
+                f"eval: the point belongs to {g.config!r}, the polynomial to {self.config!r}"
+            )
         return complex(self.eval_batch(g.w[None], g.c[None])[0])
 
     def eval_batch(self, W: np.ndarray, C: np.ndarray) -> np.ndarray:
-        """Evaluate on stacked points: W is (n, k), C is (n, d); returns (n,)."""
-        Z = np.concatenate([W, C], axis=1)
-        values = np.concatenate([Z, Z.conj()], axis=1)
-        out = np.zeros(len(Z), dtype=complex)
+        """Evaluate on stacked points: W is (m, k), C is (m, d); returns (m,).
+
+        Each variable is read as a column view of W or C (or of their
+        conjugates, each taken at most once per call and only if a term
+        needs it), so no (m, 2(k+d)) array of all variables is built.
+        """
+        W, C = np.asarray(W), np.asarray(C)
+        k, d, n = self.config.k, self.config.d, self.config.n
+        if W.ndim != 2 or C.ndim != 2 or W.shape[1] != k or C.shape[1] != d or len(W) != len(C):
+            raise ValueError(
+                f"eval_batch: expected W of shape (m, {k}) and C of shape (m, {d}),"
+                f" got {W.shape} and {C.shape}"
+            )
+        keys = self.terms.keys()
+        Wbar = W.conj() if any(any(key[n:n + k]) for key in keys) else W
+        Cbar = C.conj() if any(any(key[n + k:]) for key in keys) else C
+        # column views in variable order; a conjugate block that no term
+        # reads stands in unconjugated and is never indexed
+        columns = [*W.T, *C.T, *Wbar.T, *Cbar.T]
+        out = np.zeros(len(W), dtype=complex)
         for key, coeff in self.terms.items():
-            term = np.full(len(Z), coeff)
+            term = np.full(len(W), coeff)
             for idx, e in enumerate(key):
                 if e:
-                    term = term * values[:, idx] ** e
+                    # not `term * x`: on a large temporary x numpy may compute
+                    # x *= term, and not in place either: a one-point product
+                    # in place takes a scalar loop. Either rounds differently,
+                    # so a value would depend on the points beside it
+                    term = np.multiply(term, columns[idx] ** e)
             out += term
         return out
 

@@ -1,6 +1,7 @@
 """Sampler reproducibility, moment targets, chaos pairing, and residuals."""
 
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,8 @@ def test_estimators_reject_bad_arguments_by_name():
     for stride in (0, -1):
         with pytest.raises(ValueError, match="stride"):
             mc.heat_mc_grid(cfg, f, params, stride=stride)
+    with pytest.raises(ValueError, match="stride must divide steps, got stride=3 and steps=4"):
+        mc.heat_mc_grid(cfg, f, params, stride=3)
     for p in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="p must"):
             mc.lp_norm_mc(cfg, f, p, params)
@@ -124,6 +127,12 @@ def test_increment_normalization():
     assert abs(np.mean(inc)) <= 3 * np.sqrt(dt / 2 / inc.size)
 
 
+def random_form(k, d, seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(d, k, k)) + 1j * rng.normal(size=(d, k, k))
+    return GroupConfig(k, d, raw - raw.transpose(0, 2, 1))
+
+
 def group_mul_fold(cfg, inc):
     """Reference path: the left product of the increments (dW_s, dC_s) as
     group elements, g(t_{s+1}) = g(t_s) . (dW_s, dC_s), at every grid point."""
@@ -140,12 +149,7 @@ def group_mul_fold(cfg, inc):
 def test_group_paths_match_group_mul_fold(form):
     # the one builder, for a single path and for a batch that starts inside
     # the stream, against an independent fold of the group law
-    if form == "reference":
-        cfg = heis()
-    else:
-        rng = np.random.default_rng(21)
-        raw = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
-        cfg = GroupConfig(3, 2, raw - raw.transpose(0, 2, 1))
+    cfg = heis() if form == "reference" else random_form(3, 2, 21)
     params = mc.MCParams(T=1.3, steps=64, paths=8, seed=9)
     start, count = 5, 3
     W, C = mc._group_paths(cfg, mc._increment_batch(cfg, params, start, count))
@@ -161,6 +165,61 @@ def test_group_paths_match_group_mul_fold(form):
         for got_W, got_C in ((W[j], C[j]), (single.W, single.C)):
             np.testing.assert_allclose(got_W, ref_W, rtol=0, atol=atol)
             np.testing.assert_allclose(got_C, ref_C, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("steps", [33, 257])
+@pytest.mark.parametrize("form", ["reference", "random_k3_d2"])
+def test_block_length_never_changes_a_result(monkeypatch, form, steps):
+    # the builder carries each block's last row into the next one's
+    # cumulative sums, and its area products never take a one-row BLAS
+    # kernel, so one-step blocks, short blocks and a single block covering
+    # the grid all give the bits of the shipped block length
+    cfg = heis() if form == "reference" else random_form(3, 2, 23)
+    params = mc.MCParams(T=1.0, steps=steps, paths=mc.BATCH + 40, seed=24)
+    f = parse_poly(cfg, "w1^2*c1 + w2*cbar1 - c1^2 + wbar1*w2^3")
+    holo = parse_poly(cfg, "w1^2*w2 + w2*c1 + 3*c1^2")
+    inc = mc._increment_batch(cfg, params, 3, 6)
+
+    def results():
+        W, C = mc._group_paths(cfg, inc)
+        one = mc.group_path(cfg, mc.sample_path(cfg, params, 4))
+        # a path's group path does not depend on the batch it is built in
+        assert np.array_equal(one.W, W[1]) and np.array_equal(one.C, C[1])
+        ests = [mc.heat_mc(cfg, f, params), mc.chaos_residual(cfg, holo, params)]
+        for stride in (1, steps):
+            ests += mc.heat_mc_grid(cfg, f, params, stride=stride)[1]
+        return W, C, [(e.mean, e.stderr) for e in ests]
+
+    W, C, ests = results()
+    assert W.shape == (6, steps + 1, cfg.k) and C.shape == (6, steps + 1, cfg.d)
+    for block in (1, 7, steps + 5):
+        monkeypatch.setattr(mc, "BLOCK", block)
+        got_W, got_C, got = results()
+        assert np.array_equal(got_W, W) and np.array_equal(got_C, C), block
+        assert got == ests, block
+
+
+def test_batch_working_set_is_increments_plus_blocks():
+    # one 512-path batch at 1024 steps: beside its increments a batch holds
+    # O(paths x BLOCK) of group path, and heat_mc_grid its (times, paths)
+    # samples; whole-grid W, C and evaluation arrays took 3x and 5x
+    cfg = heis()
+    params = mc.MCParams(T=1.0, steps=1024, paths=512, seed=25)
+    increment_bytes = params.paths * params.steps * cfg.n * 16
+    f = parse_poly(cfg, "w1^2*c1 + w2*cbar1")
+    calls = {
+        "heat_mc_grid": (lambda: mc.heat_mc_grid(cfg, f, params, stride=1, workers=1), 2.0),
+        "heat_mc": (lambda: mc.heat_mc(cfg, f, params, workers=1), 1.5),
+    }
+    for name, (call, bound) in calls.items():
+        call()  # warm-up: caches settle outside the trace
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * increment_bytes, (name, peak / increment_bytes)
 
 
 def test_heat_mc_hits_exact_expectation():

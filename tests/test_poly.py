@@ -244,3 +244,91 @@ def test_heat_expectation_scales_in_time(t):
     assert heat_expectation(parse_poly(cfg, "w2*wbar2"), t) == pytest.approx(t, rel=1e-12)
     expected = t + t * t / 4
     assert heat_expectation(parse_poly(cfg, "c1*cbar1"), t) == pytest.approx(expected, rel=1e-12)
+
+
+def seed_eval_batch(f, W, C):
+    """The evaluation formula of an earlier release, kept as the reference:
+    every variable of every point in one (m, 2(k+d)) array."""
+    Z = np.concatenate([W, C], axis=1)
+    values = np.concatenate([Z, Z.conj()], axis=1)
+    out = np.zeros(len(Z), dtype=complex)
+    for key, coeff in f.terms.items():
+        term = np.full(len(Z), coeff)
+        for idx, e in enumerate(key):
+            if e:
+                term = term * values[:, idx] ** e
+        out += term
+    return out
+
+
+@pytest.mark.parametrize("k,d", [(2, 1), (4, 2), (3, 2)])
+def test_eval_batch_equals_seed_formula_bit_for_bit(k, d):
+    # random polynomials touching all four blocks with powers up to 4; the
+    # reference builds a temporary per factor, which numpy only reuses in
+    # place above 256 KiB, so the points stay below that size here
+    rng = np.random.default_rng(40 + k)
+    cfg = random_config(rng, k, d)
+    nv = 2 * cfg.n
+    m = 400
+    W = rng.normal(size=(m, k)) + 1j * rng.normal(size=(m, k))
+    C = rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))
+    seen_blocks, seen_powers = set(), set()
+    for _ in range(50):
+        terms = {}
+        for _ in range(int(rng.integers(1, 5))):
+            key = [0] * nv
+            for idx in rng.choice(nv, size=2, replace=False):
+                key[idx] = int(rng.integers(1, 5))
+            terms[tuple(key)] = complex(rng.normal(), rng.normal())
+        f = Polynomial(cfg, terms)
+        for key in f.terms:
+            seen_blocks |= {(idx >= k) + (idx >= cfg.n) + (idx >= cfg.n + k)
+                            for idx, e in enumerate(key) if e}
+            seen_powers |= set(key)
+        assert np.array_equal(f.eval_batch(W, C), seed_eval_batch(f, W, C))
+        # a point's value does not depend on the points evaluated beside it
+        assert np.array_equal(f.eval_batch(W, C)[7:9], f.eval_batch(W[7:9], C[7:9]))
+        assert complex(f.eval_batch(W, C)[3]) == f.eval(GroupElement(cfg, W[3], C[3]))
+    assert seen_blocks == {0, 1, 2, 3} and max(seen_powers) == 4
+
+
+def test_eval_batch_value_independent_of_call_size():
+    # above 256 KiB numpy may evaluate `term * x**e` as x *= term, whose
+    # swapped complex product can round differently; evaluating in pieces
+    # must give the bits of one call over all points
+    rng = np.random.default_rng(44)
+    cfg = heis()
+    f = parse_poly(cfg, "w2^4*c1 + (1-2i)*c1*wbar1^2 + w1*w2*cbar1^3")
+    m = 40000
+    W = rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
+    C = rng.normal(size=(m, 1)) + 1j * rng.normal(size=(m, 1))
+    pieces = [f.eval_batch(W[s:s + 700], C[s:s + 700]) for s in range(0, m, 700)]
+    assert np.array_equal(f.eval_batch(W, C), np.concatenate(pieces))
+
+
+def test_mis_shaped_evaluation_inputs_fail_by_name():
+    # each of these used to return a value read off the wrong column
+    cfg = heis()
+    c1 = parse_poly(cfg, "c1")
+    bad = [
+        ([[1, 2, 3]], [[7]]),  # three w columns at k = 2: returned 3
+        ([[1, 2]], [[7, 8]]),  # two c columns at d = 1
+        ([[1, 2], [3, 4]], [[7]]),  # two points against one
+        ([1, 2], [7]),  # not stacked
+    ]
+    for W, C in bad:
+        with pytest.raises(ValueError, match=r"eval_batch: expected W of shape \(m, 2\) and C "
+                                             r"of shape \(m, 1\), got \("):
+            c1.eval_batch(W, C)
+    with pytest.raises(ValueError, match=r"got \(1, 2\) and \(1, 2\)"):
+        parse_poly(cfg, "wbar1").eval_batch([[1, 2]], [[7, 8]])
+    k3 = GroupConfig(3, 1, np.zeros((1, 3, 3)))
+    g = GroupElement(k3, [1, 2, 3], [9])
+    with pytest.raises(ValueError, match=r"eval: the point belongs to GroupConfig\(k=3, d=1.*"
+                                         r"the polynomial to GroupConfig\(k=2, d=1"):
+        c1.eval(g)
+    # another omega is another group, even at the same (k, d)
+    other = GroupConfig(2, 1, 2 * SKEW)
+    with pytest.raises(ValueError, match="eval: the point belongs to"):
+        c1.eval(GroupElement(other, [1, 2], [9]))
+    assert c1.eval(GroupElement(heis(), [1, 2], [9])) == 9
