@@ -246,7 +246,7 @@ def test_heat_expectation_scales_in_time(t):
     assert heat_expectation(parse_poly(cfg, "c1*cbar1"), t) == pytest.approx(expected, rel=1e-12)
 
 
-def seed_eval_batch(f, W, C):
+def concatenated_eval_batch(f, W, C):
     """The evaluation formula of an earlier release, kept as the reference:
     every variable of every point in one (m, 2(k+d)) array."""
     Z = np.concatenate([W, C], axis=1)
@@ -262,7 +262,7 @@ def seed_eval_batch(f, W, C):
 
 
 @pytest.mark.parametrize("k,d", [(2, 1), (4, 2), (3, 2)])
-def test_eval_batch_equals_seed_formula_bit_for_bit(k, d):
+def test_eval_batch_equals_concatenation_formula_bit_for_bit(k, d):
     # random polynomials touching all four blocks with powers up to 4; the
     # reference builds a temporary per factor, which numpy only reuses in
     # place above 256 KiB, so the points stay below that size here
@@ -285,7 +285,7 @@ def test_eval_batch_equals_seed_formula_bit_for_bit(k, d):
             seen_blocks |= {(idx >= k) + (idx >= cfg.n) + (idx >= cfg.n + k)
                             for idx, e in enumerate(key) if e}
             seen_powers |= set(key)
-        assert np.array_equal(f.eval_batch(W, C), seed_eval_batch(f, W, C))
+        assert np.array_equal(f.eval_batch(W, C), concatenated_eval_batch(f, W, C))
         # a point's value does not depend on the points evaluated beside it
         assert np.array_equal(f.eval_batch(W, C)[7:9], f.eval_batch(W[7:9], C[7:9]))
         assert complex(f.eval_batch(W, C)[3]) == f.eval(GroupElement(cfg, W[3], C[3]))
