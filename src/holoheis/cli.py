@@ -174,25 +174,17 @@ def _chaos_rows(
     return rows
 
 
-def _heat_rows(
-    config: GroupConfig, cases: list[tuple[str, Polynomial]], params: mc.MCParams, workers: int
+def _average_rows(
+    config: GroupConfig, cases: list[tuple[str, Polynomial, GroupElement, complex]],
+    params: mc.MCParams, workers: int,
 ) -> list[dict]:
-    """One row per (name, f) case: the heat average of f from one shared
-    simulation against its exact heat expectation."""
-    ests = mc.heat_sweep(config, [f for _, f in cases], params, workers)
-    return [_mc_row(name, config, params, heat_expectation(f, params.T), est)
-            for (name, f), est in zip(cases, ests)]
-
-
-def _skeleton_rows(
-    config: GroupConfig, cases: list[tuple[str, Polynomial, GroupElement]], params: mc.MCParams,
-    workers: int,
-) -> list[dict]:
-    """One row per (name, f, h) case: the translated heat average of f from
-    one shared simulation against the point value f(h)."""
-    ests = mc.skeleton_sweep(config, [(f, h) for _, f, h in cases], params, workers)
-    return [_mc_row(name, config, params, f.eval(h), est)
-            for (name, f, h), est in zip(cases, ests)]
+    """One row per (name, f, h, target) case: the translated heat average
+    E f(h . g(T)) from one shared simulation against its target. At h = e it
+    is the heat average, whose target is the exact heat expectation; for
+    holomorphic f the skeleton target is the point value f(h)."""
+    ests = mc.skeleton_sweep(config, [(f, h) for _, f, h, _ in cases], params, workers)
+    return [_mc_row(name, config, params, target, est)
+            for (name, _, _, target), est in zip(cases, ests)]
 
 
 def _isometry_rows(
@@ -206,8 +198,8 @@ def _isometry_rows(
     exact = heat_expectation(sq, T).real
     rows = [_exact_row(name, config, exact, fock_norm_sq(alpha, T), 1e-9, T=T)]
     if params is not None:
-        est = mc.heat_mc(config, sq, params, workers=workers)
-        rows.append(_mc_row("isometry:mc", config, params, exact, est))
+        case = ("isometry:mc", sq, config.identity(), exact)
+        rows += _average_rows(config, [case], params, workers)
     return rows
 
 
@@ -258,7 +250,8 @@ def _random_holo_poly(config: GroupConfig, rng) -> Polynomial:
 def cmd_simulate(config: GroupConfig, args) -> tuple[list[dict], list[str]]:
     f = parse_poly(config, args.poly)
     params = mc.MCParams(args.T, args.steps, args.paths, args.seed)
-    return _heat_rows(config, [("simulate", f)], params, args.workers), UNIFIED_COLUMNS
+    case = ("simulate", f, config.identity(), heat_expectation(f, args.T))
+    return _average_rows(config, [case], params, args.workers), UNIFIED_COLUMNS
 
 
 def cmd_taylor(config: GroupConfig, args) -> tuple[list[dict], list[str]]:
@@ -289,12 +282,16 @@ def cmd_skeleton(config: GroupConfig, args) -> tuple[list[dict], list[str]]:
     f = parse_poly(config, args.poly)
     h = parse_point(config, args.point)
     params = mc.MCParams(args.T, args.steps, args.paths, args.seed)
-    return _skeleton_rows(config, [("skeleton", f, h)], params, args.workers), UNIFIED_COLUMNS
+    case = ("skeleton", f, h, f.eval(h))
+    return _average_rows(config, [case], params, args.workers), UNIFIED_COLUMNS
 
 
 def cmd_chaos(config: GroupConfig, args) -> tuple[list[dict], list[str]]:
     f = parse_poly(config, args.poly)
-    cases = [("chaos:residual", int(s)) for s in args.steps_list.split(",")]
+    try:
+        cases = [("chaos:residual", int(s)) for s in args.steps_list.split(",")]
+    except ValueError:
+        raise ValueError(f"--steps-list must list integers, got {args.steps_list!r}") from None
     rows = _chaos_rows(config, f, cases, args.T, args.paths, args.seed, args.workers)
     return rows, UNIFIED_COLUMNS
 
@@ -378,15 +375,16 @@ def cmd_verify_all(config: GroupConfig, args) -> tuple[list[dict], list[str]]:
         ]
 
     # heat kernel MC against the exact expectation, then the skeleton at a
-    # fixed off-center point, each on one simulation of the same paths
+    # fixed off-center point, all on one simulation of the same paths
     params = mc.MCParams(1.0, 256, args.paths, seed + 1)
-    heat = [("simulate:c1", parse_poly(config, "c1*cbar1"))]
-    heat += [(f"meanvalue:{i}", f) for i, f in enumerate(polys)]
-    rows += _heat_rows(config, heat, params, workers)
+    e = config.identity()
+    c1 = parse_poly(config, "c1*cbar1")
     h = GroupElement(config, np.linspace(0.2, 0.4, config.k) + 0.1j,
                      np.linspace(-0.3, 0.1, config.d) - 0.2j)
-    skeleton = [(f"skeleton:{i}", f, h) for i, f in enumerate(polys)]
-    rows += _skeleton_rows(config, skeleton, params, workers)
+    cases = [("simulate:c1", c1, e, heat_expectation(c1, 1.0))]
+    cases += [(f"meanvalue:{i}", f, e, heat_expectation(f, 1.0)) for i, f in enumerate(polys)]
+    cases += [(f"skeleton:{i}", f, h, f.eval(h)) for i, f in enumerate(polys)]
+    rows += _average_rows(config, cases, params, workers)
 
     # iterated-integral isometry, ranks 1..2
     alphas = []

@@ -229,6 +229,14 @@ def test_chaos_ratio_rows_and_exit(capsys, argv, escape, code):
         assert in_band == (code == 0)
 
 
+def test_chaos_bad_steps_list_exits_2_by_name(capsys):
+    # an empty entry used to surface as int()'s own message
+    for text in ("64,,128", "64,x"):
+        code, out, err = run(capsys, ["chaos", "--poly", "w1^2", "--steps-list", text])
+        assert code == 2, text
+        assert out == "" and err == f"error: --steps-list must list integers, got {text!r}\n"
+
+
 def test_isometry_non_finite_T_exits_2(capsys):
     for T in ("nan", "inf"):
         argv = ["isometry", "--poly", "w1*c1", "--T", T, "--paths", "0"]
@@ -254,7 +262,8 @@ def test_verify_all_finds_the_distance_bound_once(monkeypatch, capsys):
 
 
 def test_verify_all_simulates_the_heat_rows_once(monkeypatch, capsys):
-    # simulate:c1 and the three meanvalue rows share one heat_sweep
+    # simulate:c1, the three meanvalue rows and the three skeleton rows are
+    # heat averages translated by e or h, so one skeleton_sweep serves all
     calls = []
 
     def counted(name, real):
@@ -263,11 +272,13 @@ def test_verify_all_simulates_the_heat_rows_once(monkeypatch, capsys):
             return real(*args, **kwargs)
         return call
 
-    for name in ("heat_sweep", "heat_mc"):
+    for name in ("heat_mc", "heat_sweep", "skeleton_mc", "skeleton_sweep"):
         monkeypatch.setattr(cli.mc, name, counted(name, getattr(cli.mc, name)))
-    code, _, _ = run(capsys, ["verify-all", "--paths", "500", "--seed", "3"])
+    code, out, _ = run(capsys, ["verify-all", "--paths", "500", "--seed", "3"])
     assert code == 0
-    assert calls == ["heat_sweep"]
+    assert calls == ["skeleton_sweep"]
+    names = [l.split(",")[0] for l in body(out).splitlines()]
+    assert sum(n.startswith(("simulate:", "meanvalue:", "skeleton:")) for n in names) == 7
 
 
 def test_verify_all_builds_each_taylor_tensor_once(monkeypatch, capsys):

@@ -280,6 +280,27 @@ def test_sweep_columns_equal_lone_estimators_bit_for_bit():
     assert column.mean == lone.mean and column.stderr == lone.stderr
 
 
+@pytest.mark.parametrize("form", ["reference", "random_k3_d2"])
+def test_heat_sweep_equals_terminal_evaluation(form):
+    # heat_sweep is the skeleton sweep at e; translation by e adds exact
+    # zeros, so it keeps the bits of evaluating f on the terminal values
+    cfg = heis() if form == "reference" else random_form(3, 2, 26)
+    params = mc.MCParams(T=1.0, steps=24, paths=1100, seed=27)
+    polys = [parse_poly(cfg, t) for t in ("w1^2*c1 + w2", "c1*cbar1 - 2", "w1*wbar2 + (1+2i)")]
+    polys.append(polys[0].abs_sq())
+
+    def batch(start, count):
+        W, C = mc._terminal(cfg, mc._increment_batch(cfg, params, start, count))
+        return np.stack([f.eval_batch(W, C) for f in polys])
+
+    ref = [(e.mean, e.stderr) for e in mc._sample_means(params, 1, batch)]
+    for workers in (1, 2):
+        got = mc.heat_sweep(cfg, polys, params, workers)
+        assert [(e.mean, e.stderr) for e in got] == ref, workers
+    lone = mc.heat_mc(cfg, polys[3], params)
+    assert (lone.mean, lone.stderr) == ref[3]
+
+
 def test_heat_mc_grid_is_flat_for_holomorphic():
     # E f(g(t)) = f(e) for every t on the grid
     cfg = heis()
@@ -498,6 +519,130 @@ def test_pairings_match_dense_reference(monkeypatch):
     assert (one.mean, one.stderr) == (three.mean, three.stderr)
     const = mc.chaos_residual(cfg, parse_poly(cfg, "(2-1i)"), params, workers=3)
     assert const.mean == 0.0 and const.stderr == 0.0
+
+
+def tree_pairings(alphas, inc):
+    """Reference walk: the keys gathered into a tree of their prefixes,
+    walked depth first by recursion, siblings in order of first appearance."""
+    count, steps, _ = inc.shape
+    out = np.empty((count, len(alphas)), complex)
+    root = {}  # index -> (children, [(column, coeff) of keys ending here])
+    for col, alpha in enumerate(alphas):
+        out[:, col] = alpha.scalar
+        for comp in alpha.ranks[1:]:
+            for key, coeff in comp.items():
+                children = root
+                for i in key[:-1]:
+                    children = children.setdefault(i, ({}, []))[0]
+                children.setdefault(key[-1], ({}, []))[1].append((col, coeff))
+
+    def walk(children, prev):
+        for i, (grand, leaves) in children.items():
+            db = inc[:, :, i]
+            if grand:
+                path = np.empty((count, steps + 1), complex)
+                path[:, 0] = 0.0
+                if prev is None:
+                    np.cumsum(db, axis=1, out=path[:, 1:])
+                else:
+                    np.multiply(prev, db, out=path[:, 1:])
+                    np.cumsum(path[:, 1:], axis=1, out=path[:, 1:])
+                terminal = path[:, -1]
+            elif prev is None:
+                terminal = db.sum(axis=1)
+            else:
+                terminal = np.einsum("ps,ps->p", prev, db)
+            for col, coeff in leaves:
+                out[:, col] += coeff * terminal
+            if grand:
+                walk(grand, path[:, :-1])
+
+    walk(root, None)
+    return out
+
+
+def test_pairings_equal_the_tree_walk():
+    # the flat walk does the tree walk's numpy operations in its order, so
+    # the bits agree: shared prefixes across columns, a key that ends where
+    # a longer one continues, a scalar-only tensor, rank 4, then random sets
+    cfg = heis()
+    alphas = [
+        FockTensor(cfg, [{(): 0.5 - 1j}]),
+        FockTensor(cfg, [{(): 2.0}, {(0,): 1.0, (2,): -0.5j}, {(0, 1): 0.3, (2, 2): 1j}]),
+        FockTensor(cfg, [dict(), {(0,): 0.25}, dict(), {(0, 1, 0): 0.7 - 0.2j, (0, 1, 2): 1.1}]),
+        FockTensor(cfg, [dict(), dict(), {(1, 0): -1.0, (0, 1): 2j},
+                         {(2, 0, 1): 0.4j}, {(0, 1, 2, 1): 1.0, (1, 0, 1, 1): -0.6}]),
+    ]
+    params = mc.MCParams(T=1.3, steps=24, paths=40, seed=28)
+    inc = mc._increment_batch(cfg, params, 0, params.paths)
+    assert np.array_equal(mc._pairings(alphas, inc), tree_pairings(alphas, inc))
+    rng = np.random.default_rng(29)
+    for trial in range(40):
+        k, d = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        cfg = random_form(k, d, trial)
+        alphas = []
+        for _ in range(int(rng.integers(1, 4))):
+            comps = [dict() for _ in range(int(rng.integers(1, 6)))]
+            for r, comp in enumerate(comps):
+                for _ in range(int(rng.integers(0, 4))):
+                    key = tuple(int(i) for i in rng.integers(0, cfg.n, size=r))
+                    comp[key] = complex(rng.normal(), rng.normal())
+            alphas.append(FockTensor(cfg, comps))
+        params = mc.MCParams(T=1.0, steps=int(rng.integers(1, 40)), paths=7, seed=trial)
+        inc = mc._increment_batch(cfg, params, 0, params.paths)
+        assert np.array_equal(mc._pairings(alphas, inc), tree_pairings(alphas, inc)), trial
+
+
+def test_inputs_from_another_group_fail_by_name():
+    # B's form is three times A's: same k and d, another group. Such an input
+    # used to be read in A's group without a word (E|c1|^2 near A's 1.25,
+    # not B's 3.25), and one of another size failed inside numpy
+    A, B, K3 = heis(), GroupConfig(2, 1, 3 * SKEW), random_form(3, 1, 30)
+    params = mc.MCParams(T=1.0, steps=4, paths=8, seed=31)
+    f_B = parse_poly(B, "c1*cbar1")
+    f_A = parse_poly(A, "w1*c1")
+    h_K3 = GroupElement(K3, np.zeros(3), np.zeros(1))
+    alpha_K3 = FockTensor(K3, [dict(), {(3,): 1.0}])
+    b_K3 = mc.sample_path(K3, params, 0)
+    calls = [
+        (lambda: mc.heat_mc(A, f_B, params), "Polynomial", B),
+        (lambda: mc.heat_sweep(A, [f_A, f_B], params), "Polynomial", B),
+        (lambda: mc.skeleton_mc(A, f_A, h_K3, params), "GroupElement", K3),
+        (lambda: mc.skeleton_sweep(A, [(f_B, A.identity())], params), "Polynomial", B),
+        (lambda: mc.heat_mc_grid(A, f_B, params), "Polynomial", B),
+        (lambda: mc.lp_norm_mc(A, f_B, 3.0, params), "Polynomial", B),
+        (lambda: mc.chaos_residual(A, f_B, params), "Polynomial", B),
+        (lambda: mc.chaos_isometry_mc(A, [taylor(f_A), alpha_K3], params), "FockTensor", K3),
+    ]
+    for call, kind, other in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"the {kind} belongs to {other!r}, not to {A!r}"
+    paths = [
+        lambda: mc.iterated_integrals(A, b_K3, 2),
+        lambda: mc.chaos_eval(taylor(f_A), b_K3),
+        lambda: mc.group_path(A, b_K3),
+    ]
+    for call in paths:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"the path has 4 coordinates, {A!r} has 3"
+    # a configuration equal to A's but built apart is the same group
+    twin = GroupConfig(2, 1, SKEW.copy())
+    est = mc.heat_mc(A, parse_poly(twin, "c1*cbar1"), params)
+    assert est == mc.heat_mc(A, parse_poly(A, "c1*cbar1"), params)
+
+
+def test_gaussian_moment_check_rejects_phi_of_another_length():
+    # a third coefficient used to fail inside numpy's reshape
+    params = mc.MCParams(T=1.0, steps=1, paths=8, seed=32)
+    for phi in (np.ones(3), np.ones(1), []):
+        with pytest.raises(ValueError) as info:
+            mc.gaussian_moment_check(heis(), phi, params)
+        assert str(info.value) == f"phi must hold k = 2 coefficients, got {len(phi)}"
+    # a (k, 1) column still counts as k coefficients
+    rows = mc.gaussian_moment_check(heis(), np.ones((2, 1)), params)
+    assert [r["moment"] for r in rows] == ["exp_mean", "re_sq", "im_sq", "abs_sq"]
 
 
 def test_estimators_leave_no_reference_cycles():
