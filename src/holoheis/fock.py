@@ -14,7 +14,15 @@ from __future__ import annotations
 import math
 
 from .group import GroupConfig, _check_count, _check_time, _is_int
-from .poly import CLEANUP_TOL, Polynomial, _basis_halves, _clean_terms, _one_sided
+from .poly import (
+    CLEANUP_TOL,
+    Polynomial,
+    _basis_halves,
+    _clean_terms,
+    _constant_units,
+    _graded_degree,
+    _one_sided,
+)
 
 __all__ = [
     "FockTensor",
@@ -134,6 +142,25 @@ class FockTensor:
         return f"FockTensor(maxrank={self.maxrank}, entries=[{sizes}])"
 
 
+def _affine_constants(terms: dict, units: list) -> list[tuple[int, complex]]:
+    """(j, constant of D_j terms) along each basis direction j along which it
+    is non-zero, for a chain `terms` of graded degree at most 1, with
+    units[j] = (the unit monomial of variable j, the scale of direction j)
+    from `_constant_units`.
+
+    On such a chain D_j reads only that monomial, so its derivative is the
+    constant `_one_sided` computes from it, by the same expression (signed
+    zeros included); the same reading as projection._last_constants. The
+    scale is 1 and the chain's coefficients are above CLEANUP_TOL, so no
+    constant is dropped.
+    """
+    return [
+        (j, 0j + 1 * scale * terms[unit])
+        for j, (unit, scale) in enumerate(units)
+        if unit in terms
+    ]
+
+
 def taylor(f: Polynomial, maxrank: int | None = None) -> FockTensor:
     """All left derivatives of f at the identity, graded by rank.
 
@@ -155,25 +182,46 @@ def taylor(f: Polynomial, maxrank: int | None = None) -> FockTensor:
             f"maxrank {maxrank} below the graded degree {degree}; tail would be lost"
         )
     hols = [hol for hol, _ in _basis_halves(cfg)]
+    # a basis direction turns exactly one degree-one monomial into a constant
+    units = [unit for hol in hols for unit in _constant_units(hol)]
     zero = Polynomial._zero_key(cfg)
+
+    def derivatives(terms: dict) -> list[tuple[int, dict | None, complex | None]]:
+        """(j, D_j terms or None, their constant or None) for the directions
+        j along which the chain `terms` has a non-zero derivative."""
+        if len(terms) <= cfg.k + 1 and _graded_degree(cfg, terms) <= 1:
+            # an affine chain (at most k + 1 terms) has constants for its
+            # D_j, and their derivatives vanish
+            return [(j, None, z) for j, z in _affine_constants(terms, units)]
+        found = []
+        for j, hol in enumerate(hols):
+            out: dict = {}
+            _one_sided(terms, 0, *hol, out)
+            derived = _clean_terms(out)
+            if derived:
+                found.append((j, derived, derived.get(zero)))
+        return found
+
     ranks: list[dict] = [{} for _ in range(maxrank + 1)]
     if abs(f.constant_term()) > CLEANUP_TOL:
         ranks[0][()] = f.constant_term()
-    # every chain is holomorphic, so D_h is its whole derivative
+    # every chain is holomorphic, so D_h is its whole derivative; many index
+    # tuples reach the same chain, which is differentiated once per rank
     chains: dict[tuple, dict] = {(): f.terms}
     for n in range(1, maxrank + 1):
         extended: dict[tuple, dict] = {}
+        done: dict[tuple, list] = {}
         for key, terms in chains.items():
-            for j, hol in enumerate(hols):
-                out: dict = {}
-                _one_sided(terms, 0, *hol, out)
-                derived = _clean_terms(out)
-                if not derived:
-                    continue
+            signature = tuple(terms.items())
+            found = done.get(signature)
+            if found is None:
+                found = done[signature] = derivatives(terms)
+            for j, derived, const in found:
                 new_key = (j,) + key
-                extended[new_key] = derived
-                if zero in derived:
-                    ranks[n][new_key] = derived[zero]
+                if derived is not None:
+                    extended[new_key] = derived
+                if const is not None:
+                    ranks[n][new_key] = const
         chains = extended
         if not chains:
             break
@@ -247,36 +295,44 @@ def j0_residual(alpha: FockTensor) -> float:
     cfg = alpha.config
     k = cfg.k
     omega = cfg.omega
-    N = alpha.maxrank
+    ranks = alpha.ranks
+    # (h, kk) -> [(k + m, Omega_m[h, kk])] over the non-zero entries, m in order
+    bracket: dict[tuple, list] = {}
+    for m, h, kk in zip(*omega.nonzero()):
+        bracket.setdefault((int(h), int(kk)), []).append((k + int(m), omega[m, h, kk]))
+    pairs = [[(int(h), int(kk)) for h, kk in zip(*omega[m].nonzero())] for m in range(cfg.d)]
 
-    candidates: set[tuple] = set()
-    # entries at rank p+q+2 seen through the h x k or k x h slot
-    for r in range(2, N + 1):
-        for key in alpha.ranks[r]:
-            for p in range(r - 1):
-                candidates.add((key[:p], key[p], key[p + 1], key[p + 2:]))
-    # entries at rank p+q+1 seen through the bracket slot at a central index
-    for r in range(1, N):
-        for key in alpha.ranks[r]:
-            for p in range(r):
-                if key[p] >= k:
-                    m = key[p] - k
-                    u, v = key[:p], key[p + 1:]
-                    rows, cols = omega[m].nonzero()
-                    for h, kk in zip(rows, cols):
-                        candidates.add((u, int(h), int(kk), v))
+    def violation(word: tuple, p: int) -> float:
+        """The condition at u = word[:p], (h, kk) = word[p:p + 2], v = word[p + 2:]."""
+        top, below = ranks[len(word)], ranks[len(word) - 1]
+        u, h, kk, v = word[:p], word[p], word[p + 1], word[p + 2:]
+        value = top.get(word, 0j) - top.get(u + (kk, h) + v, 0j)
+        for c, coeff in bracket.get((h, kk), ()):
+            value -= coeff * below.get(u + (c,) + v, 0j)
+        return abs(value)
 
     worst = 0.0
-    for u, h, kk, v in candidates:
-        if len(u) + len(v) + 2 > N:
-            continue
-        value = alpha.entry(u + (h, kk) + v) - alpha.entry(u + (kk, h) + v)
-        if h < k and kk < k:
-            for m in range(cfg.d):
-                coeff = omega[m, h, kk]
-                if coeff != 0:
-                    value -= coeff * alpha.entry(u + (k + m,) + v)
-        worst = max(worst, abs(value))
+    # entries at rank p+q+2 seen through the h x k or k x h slot: each
+    # (word, p) once
+    for r in range(2, len(ranks)):
+        for word in ranks[r]:
+            for p in range(r - 1):
+                worst = max(worst, violation(word, p))
+    # entries at rank p+q+1 seen through the bracket slot at a central index,
+    # where the word they pair with is not stored (those were checked above)
+    seen: set[tuple] = set()
+    for r in range(1, len(ranks) - 1):
+        stored = ranks[r + 1]
+        for key in ranks[r]:
+            for p in range(r):
+                if key[p] < k:
+                    continue
+                u, v = key[:p], key[p + 1:]
+                for h, kk in pairs[key[p] - k]:
+                    word = u + (h, kk) + v
+                    if word not in stored and (word, p) not in seen:
+                        seen.add((word, p))
+                        worst = max(worst, violation(word, p))
     return worst
 
 

@@ -364,9 +364,19 @@ def skeleton_sweep(
     for f, h in cases:
         _check_group(config, f, h)
 
+    # the cases at each distinct point (by identity), translated once a batch
+    rows: dict[int, tuple[GroupElement, list]] = {}
+    for row, (f, h) in enumerate(cases):
+        rows.setdefault(id(h), (h, []))[1].append((row, f))
+
     def batch(start, count):
         W, C = _terminal(config, _increment_batch(config, params, start, count))
-        return np.stack([f.eval_batch(*_translate(config, h, W, C)) for f, h in cases])
+        out = np.empty((len(cases), count), complex)
+        for h, fs in rows.values():
+            moved = _translate(config, h, W, C)
+            for row, f in fs:
+                out[row] = f.eval_batch(*moved)
+        return out
 
     return _sample_means(params, workers, batch)
 
@@ -489,6 +499,9 @@ def _pairings(alphas: list[FockTensor], inc: np.ndarray) -> np.ndarray:
             terminal = np.einsum("ps,ps->p", prev, db)
         for col, coeff in leaves.get(p, ()):
             out[:, col] += coeff * terminal
+        # a path the walk has left must not outlive it in a loop variable
+        # while the next prefix allocates its own
+        path = terminal = prev = None
     return out
 
 

@@ -9,10 +9,12 @@ iff both conjugate blocks are untouched. Conjugate variables exist so that
 The graded degree weights w and wbar by 1 and c and cbar by 2; L strictly
 lowers it by 2, which is what makes the heat expectation a finite sum.
 
-Every derivative goes through one kernel, `_one_sided`, which adds the
+First-order derivatives go through one kernel, `_one_sided`, which adds the
 holomorphic half D_h or the antiholomorphic half D_h-bar of a left-invariant
-derivative straight into a term dict: lid_h = D_h + D_h-bar, and
-L = 4 sum_j D_j D_j-bar over the complex basis directions.
+derivative straight into a term dict: lid_h = D_h + D_h-bar. The heat
+generator L = 4 sum_j D_j D_j-bar is applied in closed form (`_L_ops`,
+`_L_step`) and shares no code with that kernel, so the heat route and the
+Taylor route of the norm identity stay independent.
 """
 
 from __future__ import annotations
@@ -51,6 +53,14 @@ def _clean_terms(terms: dict | None) -> dict:
     return {
         key: z for key, coeff in terms.items() if abs(z := complex(coeff)) > CLEANUP_TOL
     }
+
+
+def _graded_degree(config: GroupConfig, terms: dict) -> int:
+    """Graded degree of a term dict: w, wbar weigh 1 and c, cbar weigh 2."""
+    if not terms:
+        return 0
+    weights = ([1] * config.k + [2] * config.d) * 2
+    return max(sum(map(operator.mul, key, weights)) for key in terms)
 
 
 class Polynomial:
@@ -126,11 +136,7 @@ class Polynomial:
 
     def graded_degree(self) -> int:
         """Total degree with w, wbar weighted 1 and c, cbar weighted 2."""
-        if not self.terms:
-            return 0
-        k, d = self.config.k, self.config.d
-        weights = ([1] * k + [2] * d) * 2
-        return max(sum(map(operator.mul, key, weights)) for key in self.terms)
+        return _graded_degree(self.config, self.terms)
 
     # -- ring operations --------------------------------------------------------
 
@@ -419,6 +425,14 @@ def _one_sided(terms: dict, off: int, A: list, a: list, OmA: list, out: dict) ->
                 out[new] = out.get(new, 0j) + scale * base
 
 
+def _constant_units(hol: tuple) -> list[tuple[tuple, complex]]:
+    """The degree-one monomials that D_h turns into constants, each with its
+    scale: (w_j, A_j) and (c_m, a_m) for the kernel arguments hol = (A, a, OmA)."""
+    A, a, _ = hol
+    zero = (0,) * (2 * (len(A) + len(a)))
+    return [(zero[:i] + (1,) + zero[i + 1:], s) for i, s in enumerate(A + a) if s]
+
+
 def _halves(h: GroupElement) -> tuple[tuple, tuple]:
     """Kernel arguments (A, a, OmA) of D_h and of D_h-bar."""
     OmA = np.einsum("mij,j->mi", h.config.omega, h.w)
@@ -454,26 +468,89 @@ def lid(f: Polynomial, h: GroupElement) -> Polynomial:
     return Polynomial._bounded(f.config, out)
 
 
+def _L_ops(config: GroupConfig) -> list[tuple[int, list]]:
+    """The terms of L in closed form, grouped by their holomorphic derivative.
+
+    D_j-bar has coefficients in wbar only, so D_j never differentiates them,
+    and the sum L = 4 sum_j D_j D_j-bar collapses to
+
+        L/4 = sum_j d_wj d_wbarj + sum_m d_cm d_cbarm
+            + 1/2 sum conj(Omega_m[i,j]) wbar_i d_wj d_cbarm
+            + 1/2 sum Omega_m[i,j] w_i d_cm d_wbarj
+            + 1/4 sum (Omega_m Omega_m'^dagger)[i,l] w_i wbar_l d_cm d_cbarm'.
+
+    Returns [(a, [(b, [(bumps, scale)])])]: a term scale * x_bumps d_a d_b with
+    a holomorphic and b antiholomorphic variable indices; the factor 4 is in
+    the scales.
+    """
+    k, d, n = config.k, config.d, config.n
+    om = config.omega
+    gram = np.einsum("mij,plj->mpil", om, om.conj())
+    ops = []
+    for j in range(k):
+        row = [(n + j, [((), 4.0)])]
+        for m in range(d):
+            mults = [((n + i,), 2 * complex(om[m, i, j]).conjugate())
+                     for i in range(k) if om[m, i, j]]
+            if mults:
+                row.append((n + k + m, mults))
+        ops.append((j, row))
+    for m in range(d):
+        row = []
+        for j in range(k):
+            mults = [((i,), 2 * complex(om[m, i, j])) for i in range(k) if om[m, i, j]]
+            if mults:
+                row.append((n + j, mults))
+        for p in range(d):
+            mults = [((), 4.0)] if p == m else []
+            mults += [((i, n + l), complex(gram[m, p, i, l])) for i in range(k) for l in range(k)
+                      if gram[m, p, i, l]]
+            if mults:
+                row.append((n + k + p, mults))
+        ops.append((k + m, row))
+    return ops
+
+
+def _L_step(terms: dict, ops: list) -> dict:
+    """L of a term dict, with ops = _L_ops(config); returns an uncleaned dict."""
+    out: dict = {}
+    for key, coeff in terms.items():
+        for a, row in ops:
+            ea = key[a]
+            if not ea:
+                continue
+            for b, mults in row:
+                eb = key[b]
+                if not eb:
+                    continue
+                base = ea * eb * coeff
+                lowered = list(key)
+                lowered[a] -= 1
+                lowered[b] -= 1
+                for bumps, scale in mults:
+                    new = lowered.copy()
+                    for i in bumps:
+                        new[i] += 1
+                    new = tuple(new)
+                    out[new] = out.get(new, 0j) + scale * base
+    return out
+
+
 def apply_L(F: Polynomial) -> Polynomial:
     """Sum of squared left-invariant derivatives over the real basis directions,
 
         L = sum_j [lid^2_(e_j,0) + lid^2_(ie_j,0)]
           + sum_m [lid^2_(0,f_m) + lid^2_(0,if_m)],
 
-    computed as L = 4 sum_j D_j D_j-bar over the n complex basis directions.
+    which is L = 4 sum_j D_j D_j-bar over the n complex basis directions.
     With lid_h = D + D-bar, lid_ih = i(D - D-bar), so lid_h^2 + lid_ih^2 =
     (D + D-bar)^2 - (D - D-bar)^2 = 4 D D-bar, as D and D-bar commute: their
-    coefficients live in disjoint variables.
+    coefficients live in disjoint variables. Applied in the closed form of
+    `_L_ops`.
 
     Annihilates holomorphic polynomials; strictly lowers graded degree by 2.
     """
-    cfg = F.config
-    out: dict = {}
-    for hol, anti in _basis_halves(cfg):
-        bar: dict = {}
-        _one_sided(F.terms, cfg.n, *anti, bar)
-        _one_sided(bar, 0, *hol, out)
-    return Polynomial._bounded(cfg, {key: 4.0 * z for key, z in out.items()})
+    return Polynomial._bounded(F.config, _L_step(F.terms, _L_ops(F.config)))
 
 
 def heat_expectation(F: Polynomial, T: float) -> complex:
@@ -485,14 +562,16 @@ def heat_expectation(F: Polynomial, T: float) -> complex:
     as the exact oracle that every Monte Carlo estimate is judged against.
     """
     _check_time("heat_expectation", T)
+    ops = _L_ops(F.config)
+    zero = Polynomial._zero_key(F.config)
     total = 0j
-    cur = F
+    cur = F.terms
     m = 0
     max_m = F.graded_degree() // 2 + 1
-    while not cur.is_zero():
+    while cur:
         if m > max_m:
             raise RuntimeError("heat expectation failed to terminate; L did not lower degree")
-        total += (T / 4.0) ** m / math.factorial(m) * cur.constant_term()
-        cur = apply_L(cur)
+        total += (T / 4.0) ** m / math.factorial(m) * cur.get(zero, 0j)
+        cur = _clean_terms(_L_step(cur, ops))
         m += 1
     return total

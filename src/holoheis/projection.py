@@ -14,7 +14,15 @@ from __future__ import annotations
 import numpy as np
 
 from .group import GroupConfig, GroupElement, _check_time
-from .poly import CLEANUP_TOL, Polynomial, _basis_halves, _clean_terms, _halves, _one_sided
+from .poly import (
+    CLEANUP_TOL,
+    Polynomial,
+    _basis_halves,
+    _clean_terms,
+    _constant_units,
+    _halves,
+    _one_sided,
+)
 from .fock import FockTensor, fock_norm_sq, taylor
 
 __all__ = [
@@ -234,14 +242,6 @@ def _check_tuples(cfg: GroupConfig, maxrank: int) -> list[tuple]:
         r = int(rng.integers(1, cap + 1))
         out.append(tuple(int(i) for i in rng.integers(0, n, size=r)))
     return sorted(set(out))
-
-
-def _constant_units(hol: tuple) -> list[tuple[tuple, complex]]:
-    """The degree-one monomials that D_h turns into constants, each with its
-    scale: (w_j, A_j) and (c_m, a_m) for the kernel arguments hol = (A, a, OmA)."""
-    A, a, _ = hol
-    zero = (0,) * (2 * (len(A) + len(a)))
-    return [(zero[:i] + (1,) + zero[i + 1:], s) for i, s in enumerate(A + a) if s]
 
 
 def _last_constants(

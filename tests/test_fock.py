@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 
 from holoheis.group import GroupConfig
-from holoheis.poly import Polynomial, parse_poly, lid, heat_expectation
+from holoheis.poly import (
+    CLEANUP_TOL,
+    Polynomial,
+    _basis_halves,
+    _clean_terms,
+    _constant_units,
+    _one_sided,
+    parse_poly,
+    lid,
+    heat_expectation,
+)
 from holoheis.fock import (
     FockTensor,
     taylor,
@@ -16,6 +26,7 @@ from holoheis.fock import (
     j0_residual,
     grading_pullback,
     fejer_truncate,
+    _affine_constants,
 )
 
 SKEW = np.array([[[0.0, 1.0], [-1.0, 0.0]]], dtype=complex)
@@ -76,6 +87,74 @@ def test_taylor_equals_iterated_public_lid():
         expected = FockTensor(cfg, ranks)
         assert taylor(f).ranks == expected.ranks
         assert sum(len(r) for r in expected.ranks) >= 10
+
+
+def taylor_by_chains(f):
+    # the chain loop of an earlier release, kept as the reference: every index
+    # tuple's chain differentiated along every direction, however many share it
+    cfg = f.config
+    hols = [hol for hol, _ in _basis_halves(cfg)]
+    zero = Polynomial._zero_key(cfg)
+    ranks = [{} for _ in range(f.graded_degree() + 1)]
+    if abs(f.constant_term()) > CLEANUP_TOL:
+        ranks[0][()] = f.constant_term()
+    chains = {(): f.terms}
+    for n in range(1, len(ranks)):
+        extended = {}
+        for key, terms in chains.items():
+            for j, hol in enumerate(hols):
+                out = {}
+                _one_sided(terms, 0, *hol, out)
+                derived = _clean_terms(out)
+                if not derived:
+                    continue
+                extended[(j,) + key] = derived
+                if zero in derived:
+                    ranks[n][(j,) + key] = derived[zero]
+        chains = extended
+        if not chains:
+            break
+    return FockTensor(cfg, ranks)
+
+
+def test_taylor_equals_the_chain_loop_bit_for_bit():
+    # each distinct chain is differentiated once and affine chains are read
+    # off, which must keep every value and the order of every rank's entries
+    rng = np.random.default_rng(21)
+    raw = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    form = GroupConfig(3, 2, raw - np.transpose(raw, (0, 2, 1)))
+    cases = [parse_poly(heis(), "c1^6"), parse_poly(form, "w1*c2 - (2+1i)*w3^2*c1 + c2^2 + w2")]
+    cases += [random_holo(heis(), rng, terms=3, degree=8) for _ in range(4)]
+    cases += [random_holo(form, rng, terms=3, degree=5) for _ in range(3)]
+    for f in cases:
+        got, ref = taylor(f), taylor_by_chains(f)
+        assert [list(r.items()) for r in got.ranks] == [list(r.items()) for r in ref.ranks], str(f)
+
+
+def test_affine_constants_equal_a_full_kernel_step():
+    # on a chain of graded degree <= 1 the constant read off its unit
+    # monomial is the whole derivative, bit for bit
+    rng = np.random.default_rng(22)
+    raw = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    for cfg in (heis(), GroupConfig(3, 2, raw - np.transpose(raw, (0, 2, 1)))):
+        hols = [hol for hol, _ in _basis_halves(cfg)]
+        units = [unit for hol in hols for unit in _constant_units(hol)]
+        zero = Polynomial._zero_key(cfg)
+        for trial in range(20):
+            terms = {zero: complex(rng.normal(), rng.normal())} if trial % 2 else {}
+            for j in rng.choice(cfg.k, size=int(rng.integers(1, cfg.k + 1)), replace=False):
+                key = list(zero)
+                key[j] = 1
+                terms[tuple(key)] = complex(rng.normal(), rng.normal())
+            expected = []
+            for j, hol in enumerate(hols):
+                out = {}
+                _one_sided(terms, 0, *hol, out)
+                derived = _clean_terms(out)
+                assert set(derived) <= {zero}
+                if derived:
+                    expected.append((j, derived[zero]))
+            assert _affine_constants(terms, units) == expected
 
 
 def test_taylor_rejects_non_holomorphic():
@@ -174,6 +253,60 @@ def test_j0_residual_vanishes_on_taylor_range():
     rng = np.random.default_rng(3)
     for _ in range(6):
         assert j0_residual(taylor(random_holo(cfg, rng))) <= 1e-10
+
+
+def j0_by_candidates(alpha):
+    # the candidate loop of an earlier release, kept as the reference
+    cfg = alpha.config
+    k, omega, N = cfg.k, cfg.omega, alpha.maxrank
+    candidates = set()
+    for r in range(2, N + 1):
+        for key in alpha.ranks[r]:
+            for p in range(r - 1):
+                candidates.add((key[:p], key[p], key[p + 1], key[p + 2:]))
+    for r in range(1, N):
+        for key in alpha.ranks[r]:
+            for p in range(r):
+                if key[p] >= k:
+                    rows, cols = omega[key[p] - k].nonzero()
+                    for h, kk in zip(rows, cols):
+                        candidates.add((key[:p], int(h), int(kk), key[p + 1:]))
+    worst = 0.0
+    for u, h, kk, v in candidates:
+        if len(u) + len(v) + 2 > N:
+            continue
+        value = alpha.entry(u + (h, kk) + v) - alpha.entry(u + (kk, h) + v)
+        if h < k and kk < k:
+            for m in range(cfg.d):
+                if omega[m, h, kk] != 0:
+                    value -= omega[m, h, kk] * alpha.entry(u + (k + m,) + v)
+        worst = max(worst, abs(value))
+    return worst
+
+
+def test_j0_residual_equals_the_candidate_loop():
+    # taylor tensors (residual at rounding level), the anti/sym tensors above,
+    # and random tensors whose conditions fail through every slot
+    cfg = heis()
+    rng = np.random.default_rng(23)
+    raw = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    form = GroupConfig(3, 2, raw - np.transpose(raw, (0, 2, 1)))
+    tensors = [
+        FockTensor(cfg, [{}, {}, {(0, 1): 0.5, (1, 0): -0.5}]),
+        FockTensor(cfg, [{}, {}, {(0, 1): 0.5, (1, 0): 0.5}]),
+        FockTensor(cfg, [{(): 1.0}, {(2,): 2.0}]),
+    ]
+    tensors += [taylor(random_holo(c, rng, degree=5)) for c in (cfg, form) for _ in range(4)]
+    for c in (cfg, form):
+        for _ in range(6):
+            ranks = [{(): complex(rng.normal())}]
+            for r in range(1, 5):
+                words = rng.integers(0, c.n, size=(int(rng.integers(1, 12)), r))
+                ranks.append({tuple(int(i) for i in w): complex(rng.normal(), rng.normal())
+                              for w in words})
+            tensors.append(FockTensor(c, ranks))
+    for alpha in tensors:
+        assert j0_residual(alpha) == j0_by_candidates(alpha)
 
 
 def test_grading_pullback_is_isometry():

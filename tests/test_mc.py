@@ -301,6 +301,33 @@ def test_heat_sweep_equals_terminal_evaluation(form):
     assert (lone.mean, lone.stderr) == ref[3]
 
 
+def test_skeleton_sweep_translates_once_per_point(monkeypatch):
+    # cases that share a point (by identity) share its translation; every
+    # estimate keeps the bits of translating once per case
+    cfg = heis()
+    params = mc.MCParams(T=1.0, steps=16, paths=1100, seed=29)
+    h = GroupElement(cfg, np.array([0.3 - 0.1j, 0.2j]), np.array([0.5 + 0.25j]))
+    e = cfg.identity()
+    polys = [parse_poly(cfg, t) for t in ("w1^2*c1 + w2", "c1*cbar1 - 2", "w1*wbar2 + (1+2i)")]
+    cases = [(f, e) for f in polys] + [(f, h) for f in polys] + [(polys[0], e)]
+
+    def batch(start, count):
+        W, C = mc._terminal(cfg, mc._increment_batch(cfg, params, start, count))
+        return np.stack([f.eval_batch(*mc._translate(cfg, p, W, C)) for f, p in cases])
+
+    ref = [(est.mean, est.stderr) for est in mc._sample_means(params, 1, batch)]
+    calls = []
+    translate = mc._translate
+    monkeypatch.setattr(mc, "_translate", lambda *a: calls.append(a[1]) or translate(*a))
+    got = mc.skeleton_sweep(cfg, cases, params, workers=1)
+    assert [(est.mean, est.stderr) for est in got] == ref
+    batches = len(mc._batch_ranges(params.paths))
+    assert len(calls) == 2 * batches
+    calls.clear()
+    mc.heat_sweep(cfg, polys, params, workers=1)
+    assert len(calls) == batches
+
+
 def test_heat_mc_grid_is_flat_for_holomorphic():
     # E f(g(t)) = f(e) for every t on the grid
     cfg = heis()
@@ -559,6 +586,27 @@ def tree_pairings(alphas, inc):
 
     walk(root, None)
     return out
+
+
+def test_pairings_free_each_left_path_before_the_next():
+    # rank-3 keys under two first indices: at most two left-point paths (a
+    # prefix and its parent) may be alive at once; a path the walk has left,
+    # kept by a loop variable while the next is allocated, makes three
+    cfg = heis()
+    params = mc.MCParams(T=1.0, steps=512, paths=128, seed=30)
+    inc = mc._increment_batch(cfg, params, 0, params.paths)
+    alpha = taylor(parse_poly(cfg, "w1*w2*w1 + w2^3 + c1*w1"))
+    path_bytes = params.paths * (params.steps + 1) * 16
+    mc._pairings([alpha], inc)  # warm-up: caches settle outside the trace
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        mc._pairings([alpha], inc)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * path_bytes, peak / path_bytes
 
 
 def test_pairings_equal_the_tree_walk():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from holoheis.group import GroupConfig, GroupElement, group_mul, bracket
+from holoheis import poly
 from holoheis.poly import Polynomial, parse_poly, lid, apply_L, heat_expectation, DEGREE_CAP
 
 SKEW = np.array([[[0.0, 1.0], [-1.0, 0.0]]], dtype=complex)
@@ -207,6 +208,50 @@ def test_L_matches_definition_on_non_holomorphic_input():
         for F in cases:
             assert not F.is_holomorphic()
             assert apply_L(F).close_to(L_by_definition(F), 1e-10)
+
+
+def L_by_kernel(F):
+    # the form of an earlier release, kept as the reference: 4 sum_j D_j D_j-bar
+    # over the basis, each half a step of the first-order kernel
+    cfg = F.config
+    out = {}
+    for hol, anti in poly._basis_halves(cfg):
+        bar = {}
+        poly._one_sided(F.terms, cfg.n, *anti, bar)
+        poly._one_sided(bar, 0, *hol, out)
+    return Polynomial._bounded(cfg, {key: 4.0 * z for key, z in out.items()})
+
+
+@pytest.mark.parametrize("k, d", [(2, 1), (3, 2), (4, 1), (5, 2)])
+def test_closed_form_L_equals_the_kernel_form(k, d):
+    # the closed form sums other products in another order, so coefficients
+    # may move in the last bits only
+    rng = np.random.default_rng(40 + 10 * k + d)
+    cfg = random_config(rng, k, d)
+    for _ in range(6):
+        for F in (random_poly(cfg, rng, 8, factors=5),
+                  random_poly(cfg, rng, 4, factors=3, holomorphic=True).abs_sq()):
+            assert not F.is_holomorphic()
+            got, ref = apply_L(F).terms, L_by_kernel(F).terms
+            scale = max(abs(z) for z in ref.values())
+            assert all(abs(got.get(key, 0j) - ref.get(key, 0j)) <= 1e-12 * scale
+                       for key in set(got) | set(ref))
+
+
+def test_heat_expectation_does_not_use_the_derivative_kernel(monkeypatch):
+    # the Taylor route differentiates with _one_sided; the heat route must not,
+    # or a fault there would reach both sides of the norm identity
+    cfg = heis()
+    F = parse_poly(cfg, "c1*cbar1")
+    G = parse_poly(cfg, "w1^2*c1 - 3*w2").abs_sq()
+    expected = [heat_expectation(F, 1.0), heat_expectation(G, 0.6), apply_L(G).terms]
+
+    def forbidden(*args):
+        raise AssertionError("the heat route called the first-order kernel")
+
+    monkeypatch.setattr(poly, "_one_sided", forbidden)
+    assert [heat_expectation(F, 1.0), heat_expectation(G, 0.6), apply_L(G).terms] == expected
+    assert expected[0] == pytest.approx(1.25, abs=1e-13)
 
 
 def test_heat_expectation_reference_values():
