@@ -61,6 +61,16 @@ class FockTensor:
         self.config = config
         self.ranks = clean
 
+    @classmethod
+    def _trusted(cls, config: GroupConfig, ranks: list[dict]) -> "FockTensor":
+        """Wrap ranks that `taylor` has just built, skipping the checks of
+        the public constructor: each key already has its rank's length and
+        indices in [0, n), and each value is a complex above CLEANUP_TOL."""
+        out = cls.__new__(cls)
+        out.config = config
+        out.ranks = ranks
+        return out
+
     @property
     def maxrank(self) -> int:
         """The top stored rank N, len(ranks) - 1."""
@@ -225,7 +235,7 @@ def taylor(f: Polynomial, maxrank: int | None = None) -> FockTensor:
         chains = extended
         if not chains:
             break
-    return FockTensor(cfg, ranks)
+    return FockTensor._trusted(cfg, ranks)
 
 
 def inverse_taylor(alpha: FockTensor) -> Polynomial:

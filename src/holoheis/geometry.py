@@ -4,15 +4,13 @@ distance, and the pointwise growth bounds it feeds.
 A path that is linear in coordinates has constant left logarithmic derivative
 (w', c' - omega(w, w')/2) on each segment, so its length in the left-invariant
 metric is elementary, and so is its gradient with respect to the waypoints.
-distance_upper minimizes that length over interior waypoints with BFGS and
-returns the length of the path it ends at, so the distance is bounded from
-above, which is the sound direction for every bound downstream:
-overestimating the distance only loosens them. The growth bounds follow the
-Gaussian-type bound of Driver-Gordina, Heat kernel analysis on
-infinite-dimensional Heisenberg groups (J. Funct. Anal. 2008).
-
-scipy is imported inside distance_upper, the only caller of its minimizer,
-so importing this module, or the package, loads numpy alone.
+distance_upper minimizes that length over interior waypoints with BFGS
+(`_bfgs`, Nocedal-Wright, Numerical Optimization, Alg. 6.1, with a
+backtracking line search) and returns the length of the path it ends at, so
+the distance is bounded from above, which is the sound direction for every
+bound downstream: overestimating the distance only loosens them. The growth
+bounds follow the Gaussian-type bound of Driver-Gordina, Heat kernel analysis
+on infinite-dimensional Heisenberg groups (J. Funct. Anal. 2008).
 """
 
 from __future__ import annotations
@@ -108,6 +106,69 @@ def _objective(x: np.ndarray, config: GroupConfig, h: GroupElement):
     return length, np.concatenate([g.real, g.imag])
 
 
+# BFGS stops once the largest gradient component is at most GTOL, or once
+# neither its own direction nor steepest descent lowers the length by more
+# than DESCENT_ULPS units in the last place; a step must also lower it by
+# ARMIJO times the decrease its slope predicts.
+GTOL = 1e-10
+DESCENT_ULPS = 4
+ARMIJO = 1e-4
+
+
+def _line_search(fun, x: np.ndarray, f: float, g: np.ndarray, p: np.ndarray):
+    """(x, f, g) at the first accepted step along p, or None.
+
+    Backtracks from the unit step; each retry is the minimizer of the
+    quadratic through f, its slope along p and the rejected trial, clipped
+    to [0.1, 0.5] times that trial. It gives up once the decrease the slope
+    predicts is at most DESCENT_ULPS ulps of f, which no shorter step on a
+    convex stretch could beat, and at once if p is not a descent direction.
+    """
+    slope = float(g @ p)
+    floor = DESCENT_ULPS * np.finfo(float).eps * abs(f)
+    t = 1.0
+    while -t * slope > floor:
+        x_new = x + t * p
+        f_new, g_new = fun(x_new)
+        if f_new <= f + ARMIJO * t * slope and f_new < f - floor:
+            return x_new, f_new, g_new
+        t = min(max(-0.5 * slope * t * t / (f_new - f - slope * t), 0.1 * t), 0.5 * t)
+    return None
+
+
+def _bfgs(fun, x: np.ndarray) -> np.ndarray:
+    """The point where BFGS (Nocedal-Wright, Alg. 6.1) on fun, which returns
+    (value, gradient), stops when started from x.
+
+    The inverse Hessian starts as the identity and is scaled by s.y / y.y
+    before the first update; a pair with s.y <= 0 updates nothing. When the
+    line search fails along -H g, one steepest-descent step is tried with H
+    reset. At most 200 iterations per coordinate are taken.
+    """
+    f, g = fun(x)
+    eye = np.eye(x.size)
+    H = eye
+    for _ in range(200 * x.size):
+        if np.max(np.abs(g)) <= GTOL:
+            break
+        step = _line_search(fun, x, f, g, -(H @ g))
+        if step is None and H is not eye:
+            H = eye
+            step = _line_search(fun, x, f, g, -g)
+        if step is None:
+            break
+        s, y = step[0] - x, step[2] - g
+        x, f, g = step
+        sy = float(s @ y)
+        if sy > 0:
+            if H is eye:
+                H = (sy / float(y @ y)) * eye
+            Hy = H @ y
+            H = H + ((sy + float(y @ Hy)) / sy * np.outer(s, s)
+                     - np.outer(Hy, s) - np.outer(s, Hy)) / sy
+    return x
+
+
 def distance_upper(
     config: GroupConfig,
     h: GroupElement,
@@ -118,18 +179,17 @@ def distance_upper(
     """Upper bound for the distance from the identity to h.
 
     Minimizes the chart-linear path length over the (segments - 1) interior
-    waypoints with BFGS on the closed-form gradient (`_length_grad`), starting
-    from the straight path plus seeded perturbed restarts. Each restart's
-    bound is the length of the path BFGS ended at, evaluated afresh, so every
-    candidate is the length of an actual path; scipy's precision-loss status
-    at a stationary point changes nothing. The single straight segment is
+    waypoints with BFGS (`_bfgs`) on the closed-form gradient
+    (`_length_grad`), starting from the straight path plus seeded perturbed
+    restarts. Each restart's bound is the length of the path BFGS ended at,
+    evaluated afresh, so every candidate is the length of an actual path,
+    whichever stopping rule ended the run. The single straight segment is
     always a candidate, so the result never exceeds sqrt(|w|^2 + |c|^2).
     segments and restarts must be integers >= 1, seed an integer in [0, 2^64).
     """
     _check_count("segments", segments)
     _check_count("restarts", restarts)
     _check_seed("seed", seed)
-    from scipy.optimize import minimize
 
     straight = path_length(config, [config.identity(), h])
     if segments == 1 or straight == 0.0:
@@ -143,11 +203,8 @@ def distance_upper(
     best = straight
     for r in range(restarts):
         start = x0 if r == 0 else x0 + scale * rng.standard_normal(dim)
-        res = minimize(
-            _objective, start, args=(config, h), jac=True, method="BFGS",
-            options={"gtol": 1e-10},
-        )
-        best = min(best, _length(config, *_waypoints(config, h, res.x)))
+        end = _bfgs(lambda x: _objective(x, config, h), start)
+        best = min(best, _length(config, *_waypoints(config, h, end)))
     return best
 
 

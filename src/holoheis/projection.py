@@ -11,6 +11,8 @@ computes both and insists they agree.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .group import GroupConfig, GroupElement, _check_time
@@ -227,16 +229,14 @@ def kappa(proj: Projection, directions: list[GroupElement]) -> FockTensor:
 
 
 def _check_tuples(cfg: GroupConfig, maxrank: int) -> list[tuple]:
-    """Deterministic tuple set for the route agreement check."""
+    """Deterministic tuple set for the route agreement check: every tuple of
+    rank 1..cap, rank by rank in lexicographic order, or a sorted sample."""
     n = cfg.n
     cap = min(maxrank, CHECK_RANK_CAP)
     total = sum(n**r for r in range(1, cap + 1))
-    out = []
     if total <= CHECK_TUPLE_BUDGET:
-        for r in range(1, cap + 1):
-            grid = np.indices((n,) * r).reshape(r, -1).T
-            out.extend(tuple(int(i) for i in row) for row in grid)
-        return out
+        return [t for r in range(1, cap + 1) for t in itertools.product(range(n), repeat=r)]
+    out = []
     rng = np.random.default_rng(0)
     for _ in range(CHECK_SAMPLE):
         r = int(rng.integers(1, cap + 1))
@@ -272,9 +272,17 @@ def _last_constants(
     return {key: z for key, z in out.items() if abs(z) > CLEANUP_TOL}
 
 
-def _route_b(proj: Projection, alpha: FockTensor, tuples: list[tuple]):
+def _basis_kernels(cfg: GroupConfig) -> tuple[list, list]:
+    """(hols, units): the kernel arguments of each basis direction's
+    holomorphic half, and the `_constant_units` of each."""
+    hols = [hol for hol, _ in _basis_halves(cfg)]
+    return hols, [_constant_units(hol) for hol in hols]
+
+
+def _route_b(proj: Projection, alpha: FockTensor, tuples: list[tuple], kernels=None):
     """Yield (t, route-b value of the Taylor entry of f o pi_P at t) for each
-    tuple, where alpha = taylor(f).
+    tuple, where alpha = taylor(f); kernels is `_basis_kernels(proj.config)`,
+    built here when not given.
 
     The kappa state of t is one step along t[0] from the state of its proper
     suffix t[1:]. Missing suffix states are built shortest first and kept for
@@ -283,8 +291,7 @@ def _route_b(proj: Projection, alpha: FockTensor, tuples: list[tuple]):
     and t's state is never built.
     """
     cfg = proj.config
-    hols = [hol for hol, _ in _basis_halves(cfg)]
-    units = [_constant_units(hol) for hol in hols]
+    hols, units = kernels or _basis_kernels(cfg)
     comps = [_direction_coefficients(proj, h) for h in cfg.basis()]
     zero = Polynomial._zero_key(cfg)
     suffixes: dict[tuple, dict] = {(): {(): {zero: 1 + 0j}}}
@@ -303,12 +310,21 @@ def _route_b(proj: Projection, alpha: FockTensor, tuples: list[tuple]):
 
 
 def _checked_pullback(
-    proj: Projection, f: Polynomial, alpha: FockTensor, maxrank: int | None
+    proj: Projection,
+    f: Polynomial,
+    alpha: FockTensor,
+    maxrank: int | None,
+    tuples: list[tuple] | None = None,
+    kernels=None,
 ) -> FockTensor:
-    """pullback_taylor with alpha = taylor(f) supplied by the caller."""
+    """pullback_taylor with alpha = taylor(f) supplied by the caller, and
+    optionally the checked tuples for the rank of route a and
+    `_basis_kernels(proj.config)`, which depend on the form alone."""
     route_a = taylor(compose_with_projection(proj, f), maxrank)
+    if tuples is None:
+        tuples = _check_tuples(proj.config, route_a.maxrank)
     worst = 0.0
-    for t, value in _route_b(proj, alpha, _check_tuples(proj.config, route_a.maxrank)):
+    for t, value in _route_b(proj, alpha, tuples, kernels):
         gap = abs(route_a.entry(t) - value)
         worst = max(worst, gap)
         if worst > 1e-10:
@@ -349,10 +365,13 @@ def projection_convergence(
     """
     _check_time("projection_convergence", T)
     alpha = taylor(f)
+    # route a is taken at alpha's rank, so every N checks the same tuples
+    tuples = _check_tuples(config, alpha.maxrank)
+    kernels = _basis_kernels(config)
     rows = []
     for N in range(1, config.k + 1):
         proj = Projection.coordinate(config, range(N))
-        pulled = _checked_pullback(proj, f, alpha, alpha.maxrank)
+        pulled = _checked_pullback(proj, f, alpha, alpha.maxrank, tuples, kernels)
         diff = pulled.sub(alpha)
         gaps = [diff.rank_norm_sq(r) ** 0.5 for r in range(diff.maxrank + 1)]
         rows.append(

@@ -332,15 +332,16 @@ def test_console_script_smoke():
 
 
 def test_import_and_taylor_leave_scipy_unloaded():
-    # only distance_upper needs scipy, and it imports it on its first call
+    # the package runs on numpy alone, distance bounds included
     script = (
         "import sys, holoheis, holoheis.cli\n"
-        "holoheis.cli.main(['taylor', '--poly', 'w1*c1'])\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "argvs = [['taylor', '--poly', 'w1*c1'], ['bounds', '--count', '2'], ['verify-all']]\n"
+        "print([holoheis.cli.main(argv) for argv in argvs])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-2:] == ["[0, 0, 0]", "[]"]
 
 
 @pytest.mark.parametrize(

@@ -131,6 +131,22 @@ def test_taylor_equals_the_chain_loop_bit_for_bit():
         assert [list(r.items()) for r in got.ranks] == [list(r.items()) for r in ref.ranks], str(f)
 
 
+def test_taylor_tensor_equals_the_public_constructor_output():
+    # taylor wraps the ranks it builds without re-validating them; the public
+    # constructor must find nothing to drop, convert or reorder
+    rng = np.random.default_rng(22)
+    raw = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    form = GroupConfig(3, 2, raw - np.transpose(raw, (0, 2, 1)))
+    cases = [parse_poly(heis(), text) for text in ("0", "2", "w1", "c1^6")]
+    cases += [random_holo(heis(), rng, terms=3, degree=8) for _ in range(4)]
+    cases += [random_holo(form, rng, terms=3, degree=5) for _ in range(4)]
+    for f in cases:
+        got = taylor(f)
+        public = FockTensor(f.config, got.ranks)
+        assert [list(r.items()) for r in got.ranks] == [list(r.items()) for r in public.ranks]
+        assert all(type(z) is complex for r in got.ranks for z in r.values()), str(f)
+
+
 def test_affine_constants_equal_a_full_kernel_step():
     # on a chain of graded degree <= 1 the constant read off its unit
     # monomial is the whole derivative, bit for bit

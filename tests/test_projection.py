@@ -184,6 +184,27 @@ def test_projection_convergence_larger_group():
     assert all(a >= b - 1e-12 for a, b in zip(totals[:-1], totals[1:]))
 
 
+def test_projection_convergence_builds_its_check_tuples_once(monkeypatch):
+    # every N checks route b at alpha's rank on one form, so one tuple set
+    # serves all k projections
+    omega = np.zeros((1, 4, 4), complex)
+    omega[0, 0, 1] = omega[0, 2, 3] = 1.0
+    omega[0, 1, 0] = omega[0, 3, 2] = -1.0
+    cfg = GroupConfig(4, 1, omega)
+    f = parse_poly(cfg, "w1*w4 + w2*w3*c1")
+    expected = projection_convergence(cfg, f)
+    check_tuples = projection._check_tuples
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check_tuples(*args)
+
+    monkeypatch.setattr(projection, "_check_tuples", counted)
+    assert projection_convergence(cfg, f) == expected
+    assert len(calls) == 1
+
+
 def test_projection_convergence_rejects_bad_T():
     cfg = heis()
     f = parse_poly(cfg, "w1*w2 + c1^2 - w2")
