@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import math
 
-from .group import GroupConfig, _check_count, _check_time, _is_int
+from .group import GroupConfig, _check_count, _check_group, _check_time, _is_int
 from .poly import (
     CLEANUP_TOL,
     Polynomial,
-    _basis_halves,
+    _basis_kernels,
     _clean_terms,
-    _constant_units,
     _graded_degree,
     _one_sided,
+    _unit_constant,
 )
 
 __all__ = [
@@ -104,6 +104,7 @@ class FockTensor:
         )
 
     def add(self, other: "FockTensor") -> "FockTensor":
+        _check_group(self.config, other)
         top = max(self.maxrank, other.maxrank)
         ranks = []
         for n in range(top + 1):
@@ -152,25 +153,6 @@ class FockTensor:
         return f"FockTensor(maxrank={self.maxrank}, entries=[{sizes}])"
 
 
-def _affine_constants(terms: dict, units: list) -> list[tuple[int, complex]]:
-    """(j, constant of D_j terms) along each basis direction j along which it
-    is non-zero, for a chain `terms` of graded degree at most 1, with
-    units[j] = (the unit monomial of variable j, the scale of direction j)
-    from `_constant_units`.
-
-    On such a chain D_j reads only that monomial, so its derivative is the
-    constant `_one_sided` computes from it, by the same expression (signed
-    zeros included); the same reading as projection._last_constants. The
-    scale is 1 and the chain's coefficients are above CLEANUP_TOL, so no
-    constant is dropped.
-    """
-    return [
-        (j, 0j + 1 * scale * terms[unit])
-        for j, (unit, scale) in enumerate(units)
-        if unit in terms
-    ]
-
-
 def taylor(f: Polynomial, maxrank: int | None = None) -> FockTensor:
     """All left derivatives of f at the identity, graded by rank.
 
@@ -191,9 +173,7 @@ def taylor(f: Polynomial, maxrank: int | None = None) -> FockTensor:
         raise ValueError(
             f"maxrank {maxrank} below the graded degree {degree}; tail would be lost"
         )
-    hols = [hol for hol, _ in _basis_halves(cfg)]
-    # a basis direction turns exactly one degree-one monomial into a constant
-    units = [unit for hol in hols for unit in _constant_units(hol)]
+    hols, units = _basis_kernels(cfg)
     zero = Polynomial._zero_key(cfg)
 
     def derivatives(terms: dict) -> list[tuple[int, dict | None, complex | None]]:
@@ -202,7 +182,8 @@ def taylor(f: Polynomial, maxrank: int | None = None) -> FockTensor:
         if len(terms) <= cfg.k + 1 and _graded_degree(cfg, terms) <= 1:
             # an affine chain (at most k + 1 terms) has constants for its
             # D_j, and their derivatives vanish
-            return [(j, None, z) for j, z in _affine_constants(terms, units)]
+            return [(j, None, z) for j, u in enumerate(units)
+                    if abs(z := _unit_constant(terms, u)) > CLEANUP_TOL]
         found = []
         for j, hol in enumerate(hols):
             out: dict = {}
@@ -275,6 +256,7 @@ def fock_inner(alpha: FockTensor, beta: FockTensor, T: float) -> complex:
     """sum_n (T^n / n!) * sum_tuples alpha_n conj(beta_n); matches fock_norm_sq
     on the diagonal."""
     _check_time("fock_inner", T)
+    _check_group(alpha.config, beta)
     total = 0j
     top = min(alpha.maxrank, beta.maxrank)
     for n in range(top + 1):

@@ -20,7 +20,15 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .group import GroupConfig, GroupElement, _check_count, _check_seed, _check_time, k_omega
+from .group import (
+    GroupConfig,
+    GroupElement,
+    _check_count,
+    _check_group,
+    _check_seed,
+    _check_time,
+    k_omega,
+)
 from .poly import Polynomial, heat_expectation
 from .mc import MCParams, lp_norm_mc
 
@@ -43,6 +51,7 @@ def path_length(config: GroupConfig, points: Sequence[GroupElement]) -> float:
     """
     if len(points) < 2:
         raise ValueError(f"a path needs at least two points, got {len(points)}")
+    _check_group(config, *points)
     return _length(config, np.array([p.w for p in points]), np.array([p.c for p in points]))
 
 
@@ -218,7 +227,8 @@ def c_factor(t: float) -> float:
     return t / math.expm1(t)
 
 
-def _check_bound_inputs(f: Polynomial, T: float) -> None:
+def _check_bound_inputs(config: GroupConfig, f: Polynomial, h: GroupElement, T: float) -> None:
+    _check_group(config, f, h)
     if not f.is_holomorphic():
         raise ValueError("pointwise bounds apply to holomorphic polynomials")
     _check_time("pointwise bound", T)
@@ -249,8 +259,8 @@ def bargmann_check(
     """Pointwise bound |f(h)| <= norm_T(f) * exp(d(h)^2 / (2T)) with the
     distance replaced by its upper bound d_up (from `distance_upper`).
     Returns the comparison row. The bound does not depend on the form, so
-    config is not read."""
-    _check_bound_inputs(f, T)
+    config is read only to check that f and h belong to it."""
+    _check_bound_inputs(config, f, h, T)
     bound = _heat_norm(f, T) * math.exp(d_up**2 / (2.0 * T))
     return _bound_row(f, h, d_up, bound)
 
@@ -274,7 +284,7 @@ def gaussian_bound_check(
     `params` otherwise. `params.T`, when given, must equal T: the norm and
     the exponent are taken at one heat time.
     """
-    _check_bound_inputs(f, T)
+    _check_bound_inputs(config, f, h, T)
     if params is not None and params.T != T:
         raise ValueError(f"params.T={params.T} differs from the bound's T={T}")
     if not math.isfinite(p) or p <= 1:

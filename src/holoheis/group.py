@@ -113,8 +113,8 @@ class GroupConfig:
 
     def basis_direction(self, index: int) -> "GroupElement":
         """Basis element of the algebra: [0,k) are (e_j, 0), [k, k+d) are (0, f_m)."""
-        if not 0 <= index < self.n:
-            raise ValueError(f"basis index {index} out of range [0, {self.n})")
+        if not _is_int(index) or not 0 <= index < self.n:
+            raise ValueError(f"basis index must be an integer in [0, {self.n}), got {index!r}")
         w = np.zeros(self.k, complex)
         c = np.zeros(self.d, complex)
         if index < self.k:
@@ -216,15 +216,18 @@ def _same_config(a: GroupConfig, b: GroupConfig) -> bool:
     return a is b or (a.k == b.k and a.d == b.d and np.array_equal(a.omega, b.omega))
 
 
-def _check_same_config(a: GroupElement, b: GroupElement) -> None:
-    if not _same_config(a.config, b.config):
-        raise ValueError("elements belong to different group configurations")
+def _check_group(config: GroupConfig, *inputs) -> None:
+    """Fail by name on an input from another group: a point, polynomial,
+    projection or tensor whose configuration is not config."""
+    for x in inputs:
+        if not _same_config(x.config, config):
+            raise ValueError(f"the {type(x).__name__} belongs to {x.config!r}, not to {config!r}")
 
 
 def group_mul(g1: GroupElement, g2: GroupElement) -> GroupElement:
     """(w1+w2, c1+c2+omega(w1,w2)/2)."""
-    _check_same_config(g1, g2)
     cfg = g1.config
+    _check_group(cfg, g2)
     return GroupElement(
         cfg,
         g1.w + g2.w,
@@ -239,8 +242,8 @@ def group_inv(g: GroupElement) -> GroupElement:
 
 def bracket(h1: GroupElement, h2: GroupElement) -> GroupElement:
     """[(A1,a1), (A2,a2)] = (0, omega(A1, A2)); lands in the center."""
-    _check_same_config(h1, h2)
     cfg = h1.config
+    _check_group(cfg, h2)
     return GroupElement(cfg, np.zeros(cfg.k, complex), cfg.omega_form(h1.w, h2.w))
 
 

@@ -20,12 +20,13 @@ Taylor route of the norm identity stay independent.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import re
 
 import numpy as np
 
-from .group import GroupConfig, GroupElement, _check_time, _same_config
+from .group import GroupConfig, GroupElement, _check_group, _check_time, _is_int
 
 __all__ = [
     "Polynomial",
@@ -102,8 +103,8 @@ class Polynomial:
     def coordinate(cls, config: GroupConfig, index: int) -> "Polynomial":
         """Variable by flat index in [0, 2(k+d))."""
         nv = 2 * config.n
-        if not 0 <= index < nv:
-            raise ValueError(f"variable index {index} out of range [0, {nv})")
+        if not _is_int(index) or not 0 <= index < nv:
+            raise ValueError(f"variable index must be an integer in [0, {nv}), got {index!r}")
         key = [0] * nv
         key[index] = 1
         return cls(config, {tuple(key): 1.0 + 0j})
@@ -140,14 +141,10 @@ class Polynomial:
 
     # -- ring operations --------------------------------------------------------
 
-    def _require_same_config(self, other: "Polynomial") -> None:
-        if not _same_config(self.config, other.config):
-            raise ValueError("polynomials belong to different group configurations")
-
     def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, numbers.Number):
             other = Polynomial.constant(self.config, other)
-        self._require_same_config(other)
+        _check_group(self.config, other)
         out = dict(self.terms)
         for key, coeff in other.terms.items():
             out[key] = out.get(key, 0j) + coeff
@@ -160,7 +157,7 @@ class Polynomial:
         return Polynomial._bounded(self.config, negated)
 
     def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, numbers.Number):
             other = Polynomial.constant(self.config, other)
         return self + (-other)
 
@@ -168,11 +165,11 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
+        if isinstance(other, numbers.Number):
             z = complex(other)
             scaled = {k: z * v for k, v in self.terms.items()}
             return Polynomial._bounded(self.config, scaled)
-        self._require_same_config(other)
+        _check_group(self.config, other)
         out: dict = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
@@ -183,8 +180,8 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative powers are not polynomials")
+        if not _is_int(exponent) or exponent < 0:
+            raise ValueError(f"exponent must be an integer >= 0, got {exponent!r}")
         result = Polynomial.constant(self.config, 1.0)
         base = self
         e = exponent
@@ -212,10 +209,7 @@ class Polynomial:
     # -- evaluation --------------------------------------------------------------
 
     def eval(self, g: GroupElement) -> complex:
-        if not _same_config(g.config, self.config):
-            raise ValueError(
-                f"eval: the point belongs to {g.config!r}, the polynomial to {self.config!r}"
-            )
+        _check_group(self.config, g)
         return complex(self.eval_batch(g.w[None], g.c[None])[0])
 
     def eval_batch(self, W: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -363,9 +357,10 @@ def parse_poly(config: GroupConfig, text: str) -> Polynomial:
             base = Polynomial.coordinate(config, var_index(tok.group("var")))
             i += 1
             if i < total and tokens[i].group("op") == "^":
-                if i + 1 >= total or not tokens[i + 1].group("num"):
-                    raise ValueError("expected integer exponent after '^'")
-                base = base ** int(tokens[i + 1].group("num"))
+                exponent = tokens[i + 1].group(0).strip() if i + 1 < total else ""
+                if not exponent.isdigit():
+                    raise ValueError(f"expected an integer exponent after '^', got {exponent!r}")
+                base = base ** int(exponent)
                 i += 2
             return base, i
         raise ValueError(f"unexpected token {tok.group(0)!r}")
@@ -449,6 +444,27 @@ def _basis_halves(config: GroupConfig) -> list[tuple[tuple, tuple]]:
     return [_halves(h) for h in config.basis()]
 
 
+def _basis_kernels(config: GroupConfig) -> tuple[list, list]:
+    """(hols, units): the kernel arguments of each basis direction's
+    holomorphic half, and the `_constant_units` of each, in index order."""
+    hols = [hol for hol, _ in _basis_halves(config)]
+    return hols, [_constant_units(hol) for hol in hols]
+
+
+def _unit_constant(terms: dict, units: list, z: complex = 0j) -> complex:
+    """z plus the constant term of D_h `terms`, with units = _constant_units(hol)
+    for the kernel arguments hol of D_h, read off without a kernel step.
+
+    Only a degree-one monomial gives D_h a constant: A_j times [w_j] and a_m
+    times [c_m]. Along a basis direction (one unit, of scale 1) and with
+    z = 0, this is the constant `_one_sided` computes, bit for bit.
+    """
+    for mono, s in units:
+        if mono in terms:
+            z += s * terms[mono]
+    return z
+
+
 def lid(f: Polynomial, h: GroupElement) -> Polynomial:
     """Left-invariant derivative of f along the direction h = (A, a).
 
@@ -461,6 +477,7 @@ def lid(f: Polynomial, h: GroupElement) -> Polynomial:
     with v(w) = a + omega(w, A)/2, a vector of degree-1 polynomials in w.
     Holomorphic f stays holomorphic (the conjugate half vanishes).
     """
+    _check_group(f.config, h)
     hol, anti = _halves(h)
     out: dict = {}
     _one_sided(f.terms, 0, *hol, out)

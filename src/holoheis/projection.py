@@ -15,15 +15,15 @@ import itertools
 
 import numpy as np
 
-from .group import GroupConfig, GroupElement, _check_time
+from .group import GroupConfig, GroupElement, _check_group, _check_time, _is_int
 from .poly import (
     CLEANUP_TOL,
     Polynomial,
-    _basis_halves,
+    _basis_kernels,
     _clean_terms,
-    _constant_units,
     _halves,
     _one_sided,
+    _unit_constant,
 )
 from .fock import FockTensor, fock_norm_sq, taylor
 
@@ -79,6 +79,10 @@ class Projection:
         idx = list(indices)
         rows = np.zeros((len(idx), config.k), complex)
         for r, i in enumerate(idx):
+            if not _is_int(i) or not 0 <= i < config.k:
+                raise ValueError(
+                    f"projection index must be an integer in [0, {config.k}), got {i!r}"
+                )
             rows[r, i] = 1.0
         return cls(config, rows)
 
@@ -94,6 +98,7 @@ class Projection:
 
 def pi_p(proj: Projection, g: GroupElement) -> GroupElement:
     """(w, c) -> (Pw, c)."""
+    _check_group(proj.config, g)
     return GroupElement(proj.config, proj.apply(g.w), g.c.copy())
 
 
@@ -111,6 +116,7 @@ def k_p(proj: Projection, h: GroupElement, at: GroupElement) -> GroupElement:
     horizontal part; the central shift is what keeps the field left-invariant
     on the image side.
     """
+    _check_group(proj.config, h, at)
     return GroupElement(proj.config, proj.apply(h.w), h.c + gamma_defect(proj, at.w, h.w))
 
 
@@ -120,6 +126,7 @@ def compose_with_projection(proj: Projection, f: Polynomial) -> Polynomial:
     w_i is replaced by the i-th coordinate of Pw and wbar_i by its conjugate;
     central variables pass through. Identity projections return f itself.
     """
+    _check_group(proj.config, f)
     if proj.is_identity():
         return f
     cfg = proj.config
@@ -217,6 +224,7 @@ def kappa(proj: Projection, directions: list[GroupElement]) -> FockTensor:
     where the derivative order maps to directions by k_j = h_{n+1-j}.
     """
     cfg = proj.config
+    _check_group(cfg, *directions)
     zero = Polynomial._zero_key(cfg)
     state: dict[tuple, dict] = {(): {zero: 1 + 0j}}
     for h in directions:
@@ -251,32 +259,21 @@ def _last_constants(
     given state without building the step; units = _constant_units(hol) and
     zero is the exponent key of the monomial 1.
 
-    Only a degree-one monomial of an entry gives D_h a constant: A_j times
-    its coefficient [w_j] and a_m times [c_m]. A component (l, const, linear)
-    gives entry (l,) + K the constant const * [1] of entry K; its linear part
-    never yields a constant. Keys are touched in the order the step touches
-    them and constants at or below CLEANUP_TOL are dropped as the step drops
-    them, so a rank-by-rank pairing sums in the order of kappa's tensor.
+    Entry K gets the constant `_unit_constant` reads off its own terms. A
+    component (l, const, linear) gives entry (l,) + K the constant const * [1]
+    of entry K; its linear part never yields a constant. Keys are touched in
+    the order the step touches them and constants at or below CLEANUP_TOL are
+    dropped as the step drops them, so a rank-by-rank pairing sums in the
+    order of kappa's tensor.
     """
     out: dict[tuple, complex] = {}
     for key, terms in state.items():
-        z = out.get(key, 0j)
-        for mono, s in units:
-            if mono in terms:
-                z += s * terms[mono]
-        out[key] = z
+        out[key] = _unit_constant(terms, units, out.get(key, 0j))
         one = terms.get(zero, 0j)
         for l, const, _ in comps:
             ext = (l,) + key
             out[ext] = out.get(ext, 0j) + const * one
     return {key: z for key, z in out.items() if abs(z) > CLEANUP_TOL}
-
-
-def _basis_kernels(cfg: GroupConfig) -> tuple[list, list]:
-    """(hols, units): the kernel arguments of each basis direction's
-    holomorphic half, and the `_constant_units` of each."""
-    hols = [hol for hol, _ in _basis_halves(cfg)]
-    return hols, [_constant_units(hol) for hol in hols]
 
 
 def _route_b(proj: Projection, alpha: FockTensor, tuples: list[tuple], kernels=None):
@@ -350,6 +347,7 @@ def pullback_taylor(
     (l, const, linear). This pairs exactly as the tensor `kappa` would build
     from scratch, taking every step in full.
     """
+    _check_group(proj.config, f)
     return _checked_pullback(proj, f, taylor(f), maxrank)
 
 

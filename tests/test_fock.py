@@ -10,9 +10,10 @@ from holoheis.poly import (
     CLEANUP_TOL,
     Polynomial,
     _basis_halves,
+    _basis_kernels,
     _clean_terms,
-    _constant_units,
     _one_sided,
+    _unit_constant,
     parse_poly,
     lid,
     heat_expectation,
@@ -26,7 +27,6 @@ from holoheis.fock import (
     j0_residual,
     grading_pullback,
     fejer_truncate,
-    _affine_constants,
 )
 
 SKEW = np.array([[[0.0, 1.0], [-1.0, 0.0]]], dtype=complex)
@@ -148,13 +148,12 @@ def test_taylor_tensor_equals_the_public_constructor_output():
 
 
 def test_affine_constants_equal_a_full_kernel_step():
-    # on a chain of graded degree <= 1 the constant read off its unit
-    # monomial is the whole derivative, bit for bit
+    # on a chain of graded degree <= 1 the constant that _unit_constant
+    # reads off its unit monomials is the whole derivative, bit for bit
     rng = np.random.default_rng(22)
     raw = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
     for cfg in (heis(), GroupConfig(3, 2, raw - np.transpose(raw, (0, 2, 1)))):
-        hols = [hol for hol, _ in _basis_halves(cfg)]
-        units = [unit for hol in hols for unit in _constant_units(hol)]
+        hols, units = _basis_kernels(cfg)
         zero = Polynomial._zero_key(cfg)
         for trial in range(20):
             terms = {zero: complex(rng.normal(), rng.normal())} if trial % 2 else {}
@@ -170,7 +169,9 @@ def test_affine_constants_equal_a_full_kernel_step():
                 assert set(derived) <= {zero}
                 if derived:
                     expected.append((j, derived[zero]))
-            assert _affine_constants(terms, units) == expected
+            got = [(j, z) for j, u in enumerate(units) if (z := _unit_constant(terms, u))]
+            assert got == expected
+            assert repr(got) == repr(expected)  # signed zeros included
 
 
 def test_taylor_rejects_non_holomorphic():

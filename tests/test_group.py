@@ -20,9 +20,17 @@ from holoheis.group import (
 )
 from holoheis import mc
 from holoheis.fock import fejer_truncate, fock_inner, fock_norm_sq, taylor
-from holoheis.geometry import bargmann_check, distance_upper, gaussian_bound_check
-from holoheis.poly import heat_expectation, parse_poly
-from holoheis.projection import projection_convergence
+from holoheis.geometry import bargmann_check, distance_upper, gaussian_bound_check, path_length
+from holoheis.poly import Polynomial, heat_expectation, lid, parse_poly
+from holoheis.projection import (
+    Projection,
+    compose_with_projection,
+    k_p,
+    kappa,
+    pi_p,
+    projection_convergence,
+    pullback_taylor,
+)
 
 SKEW = np.array([[[0.0, 1.0], [-1.0, 0.0]]], dtype=complex)
 
@@ -60,10 +68,12 @@ def test_equal_configs_mix_and_different_ones_raise():
     assert group_mul(g, elem(twin, [0.1, 0.5], [0.0])).c[0] == pytest.approx(0.275 - 0.005j)
     assert (parse_poly(heis(), "w1") + parse_poly(twin, "w2")).terms
     other = GroupConfig(2, 1, 2.0 * SKEW)
-    with pytest.raises(ValueError, match="different group configurations"):
+    with pytest.raises(ValueError) as info:
         bracket(g, elem(other, [0.1, 0.5], [0.0]))
-    with pytest.raises(ValueError, match="different group configurations"):
+    assert str(info.value) == f"the GroupElement belongs to {other!r}, not to {heis()!r}"
+    with pytest.raises(ValueError) as info:
         parse_poly(heis(), "w1") * parse_poly(other, "w2")
+    assert str(info.value) == f"the Polynomial belongs to {other!r}, not to {heis()!r}"
 
 
 def test_mul_central_term():
@@ -300,3 +310,67 @@ def test_count_and_time_rules_name_the_argument_and_the_value(call, pattern):
     # fail with a TypeError from range
     with pytest.raises(ValueError, match=f"^{pattern}$"):
         call()
+
+
+def test_exact_layer_inputs_from_another_group_fail_by_name():
+    # B's form is three times A's: same k and d, another group. Each of these
+    # used to run in A's group without a word (fock_inner of tensors of k = 2
+    # and k = 3 returned 0.25) or to fail deep inside with an IndexError
+    A, B, K3 = heis(), GroupConfig(2, 1, 3 * SKEW), random_config(np.random.default_rng(5), 3, 1)
+    f_A, f_B = parse_poly(A, "w1*c1 + w2"), parse_poly(B, "w1*c1 + w2")
+    f_K3 = parse_poly(K3, "w1*w3 + c1")
+    h_A = GroupElement(A, [0.3, -0.2j], [0.1])
+    h_B, h_K3 = GroupElement(B, [0.3, 0.1], [0.2]), GroupElement(K3, [0.1, 0.2, 0.3], [0.4])
+    proj, whole = Projection.coordinate(A, [0]), Projection.coordinate(A, [0, 1])
+    calls = [
+        (lambda: lid(f_A, h_K3), "GroupElement", K3),
+        (lambda: fock_inner(taylor(f_A), taylor(f_K3), 1.0), "FockTensor", K3),
+        (lambda: taylor(f_A).add(taylor(f_B)), "FockTensor", B),
+        (lambda: taylor(f_A).sub(taylor(f_K3)), "FockTensor", K3),
+        (lambda: pi_p(proj, h_B), "GroupElement", B),
+        (lambda: k_p(proj, h_A, h_K3), "GroupElement", K3),
+        (lambda: k_p(proj, h_B, h_A), "GroupElement", B),
+        (lambda: compose_with_projection(proj, f_B), "Polynomial", B),
+        (lambda: compose_with_projection(whole, f_B), "Polynomial", B),
+        (lambda: kappa(proj, [h_A, h_K3]), "GroupElement", K3),
+        (lambda: pullback_taylor(proj, f_K3), "Polynomial", K3),
+        (lambda: path_length(A, [A.identity(), h_A, h_K3]), "GroupElement", K3),
+        (lambda: distance_upper(A, h_B), "GroupElement", B),
+        (lambda: bargmann_check(A, f_B, h_A, 1.0, d_up=0.5), "Polynomial", B),
+        (lambda: bargmann_check(A, f_A, h_K3, 1.0, d_up=0.5), "GroupElement", K3),
+        (lambda: gaussian_bound_check(A, f_K3, h_A, 1.0, d_up=0.5), "Polynomial", K3),
+        (lambda: gaussian_bound_check(A, f_A, h_B, 1.0, d_up=0.5), "GroupElement", B),
+        (lambda: group_mul(h_A, h_B), "GroupElement", B),
+        (lambda: f_A - f_K3, "Polynomial", K3),
+    ]
+    for i, (call, kind, other) in enumerate(calls):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"the {kind} belongs to {other!r}, not to {A!r}", i
+    # a configuration equal to A's but built apart is the same group
+    twin = GroupConfig(2, 1, SKEW.copy())
+    alpha = taylor(f_A)
+    assert fock_inner(alpha, taylor(parse_poly(twin, "w1*c1 + w2")), 1.0) == fock_norm_sq(alpha, 1.0)
+    assert pi_p(proj, GroupElement(twin, [0.3, 0.1], [0.2])).w.tolist() == [0.3, 0.0]
+    assert distance_upper(A, GroupElement(twin, [0.3, -0.2j], [0.1])) == distance_upper(A, h_A)
+
+
+def test_basis_and_projection_indices_are_checked():
+    # True used to pass as a boolean mask (w = (1, 1)), -1 picked the last
+    # axis, and 1.5 failed inside numpy with an IndexError
+    cfg = heis()
+    for index in (True, False, 1.5, -1, 3, "0"):
+        with pytest.raises(ValueError) as info:
+            cfg.basis_direction(index)
+        assert str(info.value) == f"basis index must be an integer in [0, 3), got {index!r}"
+    for index in (True, 1.5, -1, 6):
+        with pytest.raises(ValueError) as info:
+            Polynomial.coordinate(cfg, index)
+        assert str(info.value) == f"variable index must be an integer in [0, 6), got {index!r}"
+    for index in (True, 1.5, -1, 2):
+        with pytest.raises(ValueError) as info:
+            Projection.coordinate(cfg, [0, index])
+        assert str(info.value) == f"projection index must be an integer in [0, 2), got {index!r}"
+    assert cfg.basis_direction(np.int64(2)).c.tolist() == [1.0]
+    assert Projection.coordinate(cfg, [np.int64(1)]).rows.tolist() == [[0.0, 1.0]]
+    assert Polynomial.coordinate(cfg, np.int64(2)) == parse_poly(cfg, "c1")
