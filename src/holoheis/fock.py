@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .group import GroupConfig, _check_count, _check_group, _check_time, _is_int
+from .group import GroupConfig, _check_count, _check_group, _check_time, _is_int, _same_config
 from .poly import (
     CLEANUP_TOL,
     Polynomial,
@@ -119,6 +119,9 @@ class FockTensor:
         return self.add(other.scale(-1.0))
 
     def close_to(self, other: "FockTensor", tol: float = 1e-10) -> bool:
+        """Whether other is of the same group and each entry is within tol."""
+        if not _same_config(self.config, other.config):
+            return False
         top = max(self.maxrank, other.maxrank)
         for n in range(top + 1):
             keys = set()

@@ -12,8 +12,6 @@ element throughout.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import numbers
 
@@ -162,6 +160,10 @@ class GroupConfig:
     @property
     def config_hash(self) -> str:
         """Short stable hash of (k, d, omega); recorded in every CSV row."""
+        # imported here, not at the top: `import holoheis` does without them
+        import hashlib
+        import json
+
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 

@@ -9,7 +9,13 @@ exact targets elsewhere in the package are derived under this convention.
 Sampling: path i's increments are numpy's ziggurat normals
 (Generator.standard_normal) drawn from a fresh counter-based
 Philox(key=(seed, i)) stream, in (step, coordinate, Re/Im) order, scaled by
-sqrt(dt/2).
+sqrt(dt/2). A batch re-keys one bit generator per path from a state dict of
+Python ints, which numpy's state setter reads faster than uint64 arrays: that
+setter is the Python work each path does while holding the GIL. Batches of
+short paths (fewer than SHORT_NORMALS normals each) are drawn by one thread
+at a time: their fills are too brief to overlap, and two threads drawing
+them at once are slower than one, while the other thread can evaluate or pair
+a batch it has already drawn. No bit depends on either.
 
 Working set: a batch of paths holds its increments and, beside them, only
 O(BATCH x BLOCK) more. Group paths are built BLOCK steps at a time, and
@@ -31,8 +37,9 @@ estimator on the same inputs.
 
 from __future__ import annotations
 
+import contextlib
 import math
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +81,18 @@ BATCH = 512
 # length never changes a result; a longer block makes fewer, larger numpy
 # calls and holds more memory.
 BLOCK = 32
+
+# A path of fewer normals than this (2 x steps x n) is short, and a batch of
+# short paths is drawn holding _SHORT_DRAW, so one thread at a time draws
+# them. Each path's standard_normal fill releases the GIL and must take it
+# back; when fills are short, two samplers keep waking each other. Two
+# threads over one, same work, unlocked, on a 2-vCPU host (n = 3): x0.7-1.0
+# at 64 steps (384 normals), x0.9 at 72 (432), x1.3 at 80 (480) and x1.6-1.9
+# from 96 steps (576) on; n = 6 at 64 steps (768) x1.7. Longer paths thus run
+# unlocked, where their fills overlap. The rule never changes a result.
+SHORT_NORMALS = 480
+
+_SHORT_DRAW = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -161,25 +180,31 @@ def _increment_batch(config: GroupConfig, params: MCParams, start: int, count: i
     its state is set to that of a fresh Philox(key=(seed, i)) (counter 0,
     empty buffer), so the variable number of draws a ziggurat takes cannot
     leak from one path into the next, every path's stream is the same however
-    the paths are batched, and no seed material is built per path.
+    the paths are batched, and no seed material is built per path. The state
+    holds Python ints and tuples, not uint64 arrays: numpy's setter reads
+    each element of an array as a numpy scalar, which made it 1.5 to 3 times
+    slower per path. Paths of fewer than SHORT_NORMALS normals are drawn
+    holding _SHORT_DRAW (see there).
     """
     z = np.empty((count, params.steps, config.n), complex)
     normals = z.view(np.float64).reshape(count, params.steps, config.n, 2)
-    key = np.array([params.seed, 0], np.uint64)
+    key = [params.seed, 0]
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, np.uint64), "key": key},
-        "buffer": np.zeros(4, np.uint64),
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
     bitgen = np.random.Philox(0)  # seeded only to skip OS entropy; reset below
     gen = np.random.Generator(bitgen)
-    for i in range(count):
-        key[1] = start + i
-        bitgen.state = state
-        gen.standard_normal(out=normals[i])
+    short = 2 * params.steps * config.n < SHORT_NORMALS
+    with _SHORT_DRAW if short else contextlib.nullcontext():
+        for i in range(count):
+            key[1] = start + i
+            bitgen.state = state
+            gen.standard_normal(out=normals[i])
     normals *= math.sqrt(params.dt / 2.0)
     return z
 
@@ -304,6 +329,10 @@ def _sample_means(params: MCParams, workers: int, batch_fn) -> list[MCEstimate]:
         return x.sum(axis=1), (np.abs(x) ** 2).sum(axis=1)
 
     if workers > 1:
+        # imported here: it pulls in logging, queue and traceback, which a
+        # serial run and `import holoheis` do without
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(partial, ranges))
     else:

@@ -26,7 +26,7 @@ import re
 
 import numpy as np
 
-from .group import GroupConfig, GroupElement, _check_group, _check_time, _is_int
+from .group import GroupConfig, GroupElement, _check_group, _check_time, _is_int, _same_config
 
 __all__ = [
     "Polynomial",
@@ -70,6 +70,12 @@ class Polynomial:
     __slots__ = ("config", "terms")
 
     def __init__(self, config: GroupConfig, terms: dict | None = None) -> None:
+        nv = 2 * config.n
+        for key in terms or ():
+            if len(key) != nv:
+                raise ValueError(
+                    f"exponent key {key!r} has length {len(key)}, expected 2(k+d) = {nv}"
+                )
         self.config = config
         self.terms = _clean_terms(terms)
         if self.terms:
@@ -144,6 +150,8 @@ class Polynomial:
     def __add__(self, other):
         if isinstance(other, numbers.Number):
             other = Polynomial.constant(self.config, other)
+        elif not isinstance(other, Polynomial):
+            return NotImplemented
         _check_group(self.config, other)
         out = dict(self.terms)
         for key, coeff in other.terms.items():
@@ -159,9 +167,13 @@ class Polynomial:
     def __sub__(self, other):
         if isinstance(other, numbers.Number):
             other = Polynomial.constant(self.config, other)
+        elif not isinstance(other, Polynomial):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, numbers.Number):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
@@ -169,6 +181,8 @@ class Polynomial:
             z = complex(other)
             scaled = {k: z * v for k, v in self.terms.items()}
             return Polynomial._bounded(self.config, scaled)
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         _check_group(self.config, other)
         out: dict = {}
         for k1, v1 in self.terms.items():
@@ -285,12 +299,16 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.terms == other.terms
+        return self.terms == other.terms and _same_config(self.config, other.config)
 
     def __hash__(self):
+        # terms only, which stays consistent with the group-aware __eq__
         return hash(frozenset(self.terms.items()))
 
     def close_to(self, other: "Polynomial", tol: float = 1e-10) -> bool:
+        """Whether other is of the same group and each coefficient is within tol."""
+        if not _same_config(self.config, other.config):
+            return False
         keys = set(self.terms) | set(other.terms)
         return all(
             abs(self.terms.get(k, 0j) - other.terms.get(k, 0j)) <= tol for k in keys

@@ -405,3 +405,13 @@ def test_empty_ranks_rejected_by_name():
     assert zero.maxrank == 0 and zero.scalar == 0
     again = FockTensor.from_records(cfg, zero.to_records())
     assert again.maxrank == 0 and again.close_to(zero, 0.0)
+
+
+def test_close_to_compares_the_group():
+    # tensors of the same entries over another omega used to be close
+    skew = np.array([[[0.0, 1.0], [-1.0, 0.0]]])
+    ranks = [{(): 1.0}, {(0,): 2.0, (2,): 0.5j}, {(0, 1): -1.0}]
+    alpha = FockTensor(GroupConfig(2, 1, skew), ranks)
+    beta = FockTensor(GroupConfig(2, 1, 3 * skew), ranks)
+    assert not alpha.close_to(beta) and not beta.close_to(alpha)
+    assert alpha.close_to(FockTensor(GroupConfig(2, 1, skew), ranks))

@@ -1,6 +1,9 @@
 """Sampler reproducibility, moment targets, chaos pairing, and residuals."""
 
 import gc
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -112,6 +115,105 @@ def test_increment_stream_matches_fresh_philox_per_path():
     assert np.array_equal(mc._increment_batch(cfg, params, start, count), ref)
     for j in range(count):
         assert np.array_equal(mc.sample_path(cfg, params, start + j).increments, ref[j])
+
+
+def fresh_philox_increments(cfg, params, start, count):
+    """Reference increments: a fresh Philox keyed (seed, i) per path."""
+    normals = np.empty((count, params.steps, cfg.n, 2))
+    for j in range(count):
+        key = np.array([params.seed, start + j], np.uint64)
+        np.random.Generator(np.random.Philox(key=key)).standard_normal(out=normals[j])
+    return normals.view(complex)[..., 0] * np.sqrt(params.dt / 2.0)
+
+
+@pytest.mark.parametrize("steps, short", [(64, True), (128, False)])
+def test_short_and_long_fills_match_fresh_philox_per_path(steps, short):
+    # the state dict of Python ints re-keys the generator exactly as a fresh
+    # Philox would, on either side of the short-path rule, at a key above 2^63
+    cfg = heis()
+    assert (2 * steps * cfg.n < mc.SHORT_NORMALS) == short
+    params = mc.MCParams(T=0.7, steps=steps, paths=1, seed=2**63 + 11)
+    start, count = 37, 6
+    ref = fresh_philox_increments(cfg, params, start, count)
+    assert np.array_equal(mc._increment_batch(cfg, params, start, count), ref)
+    for j in range(count):
+        assert np.array_equal(mc.sample_path(cfg, params, start + j).increments, ref[j])
+
+
+def test_only_short_fills_wait_for_the_short_draw_lock():
+    cfg = heis()
+    short = mc.MCParams(T=1.0, steps=8, paths=1, seed=5)
+    long = mc.MCParams(T=1.0, steps=mc.SHORT_NORMALS // (2 * cfg.n), paths=1, seed=5)
+    results = {}
+
+    def draw(name, params):
+        results[name] = mc._increment_batch(cfg, params, 3, 2)
+
+    with mc._SHORT_DRAW:
+        waiting = threading.Thread(target=draw, args=("short", short))
+        waiting.start()
+        waiting.join(timeout=1.0)
+        assert waiting.is_alive() and "short" not in results
+        free = threading.Thread(target=draw, args=("long", long))
+        free.start()
+        free.join(timeout=60.0)
+        assert not free.is_alive() and "long" in results
+    waiting.join(timeout=60.0)
+    assert not waiting.is_alive()
+    for name, params in (("short", short), ("long", long)):
+        assert np.array_equal(results[name], fresh_philox_increments(cfg, params, 3, 2))
+
+
+def test_a_failing_short_fill_leaves_the_lock_free(monkeypatch):
+    class Failing:
+        def __init__(self, bitgen):
+            pass
+
+        def standard_normal(self, out):
+            raise RuntimeError("fill failed")
+
+    monkeypatch.setattr(np.random, "Generator", Failing)
+    params = mc.MCParams(T=1.0, steps=4, paths=1, seed=0)
+    with pytest.raises(RuntimeError, match="fill failed"):
+        mc._increment_batch(heis(), params, 0, 2)
+    assert not mc._SHORT_DRAW.locked()
+
+
+def test_short_path_chaos_estimates_equal_across_worker_counts():
+    # 64 steps at n = 3 are short paths, drawn under the lock; three batches
+    # let two and three workers interleave them
+    cfg = heis()
+    f = parse_poly(cfg, "w1^2*w2 + w2*c1")
+    alphas = [taylor(f), taylor(parse_poly(cfg, "w1*w2 - 0.5*c1"))]
+    params = mc.MCParams(T=1.0, steps=64, paths=3 * mc.BATCH - 100, seed=2**63 + 11)
+    assert 2 * params.steps * cfg.n < mc.SHORT_NORMALS
+
+    def run(workers):
+        ests, cov, cross = mc.chaos_isometry_mc(cfg, alphas, params, workers)
+        return ests, cov.tolist(), cross.tolist(), mc.chaos_residual(cfg, f, params, workers)
+
+    one = run(1)
+    for workers in (2, 3):
+        assert run(workers) == one, workers
+
+
+def test_import_loads_no_pool_logging_json_or_hashlib():
+    # `import holoheis` used to load concurrent.futures (and with it logging,
+    # queue and traceback), json and hashlib, none of which it needs before
+    # a pooled estimate or a config hash
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "import holoheis\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    added = proc.stdout.strip()
+    assert "holoheis.mc" in added
+    for name in ("'concurrent.futures'", "'logging'", "'json'", "'hashlib'"):
+        assert name not in added, name
 
 
 def test_increment_normalization():

@@ -400,3 +400,41 @@ def test_numbers_are_scalars_and_exponents_are_integers():
             parse_poly(cfg, text)
         assert str(info.value) == f"expected an integer exponent after '^', got {got!r}"
     assert parse_poly(cfg, "w1^ 3") == parse_poly(cfg, "w1*w1*w1")
+
+
+def test_exponent_keys_of_the_wrong_length_fail_by_name():
+    # a length-1 key used to build, and eval_batch read it as w1
+    cfg = heis()
+    for key in [(1,), (1, 0, 0, 0, 0, 0, 0)]:
+        with pytest.raises(ValueError) as info:
+            Polynomial(cfg, {key: 1.0})
+        assert str(info.value) == (
+            f"exponent key {key!r} has length {len(key)}, expected 2(k+d) = 6"
+        )
+    assert Polynomial(cfg, {(1, 0, 0, 0, 0, 0): 1.0}) == parse_poly(cfg, "w1")
+
+
+def test_equality_and_closeness_compare_the_group():
+    # the same terms over another omega used to compare equal
+    cfg, other = heis(), GroupConfig(2, 1, 3 * SKEW)
+    f, g = parse_poly(cfg, "w1*c1"), parse_poly(other, "w1*c1")
+    assert f != g and not f.close_to(g) and not g.close_to(f)
+    same = parse_poly(GroupConfig(2, 1, SKEW), "w1*c1")
+    assert f == same and f.close_to(same) and hash(f) == hash(same)
+
+
+@pytest.mark.parametrize("operand", ["x", None, object(), [1]])
+def test_arithmetic_with_a_foreign_operand_raises_type_error(operand):
+    # each of these used to raise an AttributeError from the group check
+    f = parse_poly(heis(), "w1 + c1")
+    ops = [
+        lambda: f + operand,
+        lambda: operand + f,
+        lambda: f - operand,
+        lambda: operand - f,
+        lambda: f * operand,
+        lambda: operand * f,
+    ]
+    for op in ops:
+        with pytest.raises(TypeError):
+            op()
