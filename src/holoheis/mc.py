@@ -17,19 +17,23 @@ at a time: their fills are too brief to overlap, and two threads drawing
 them at once are slower than one, while the other thread can evaluate or pair
 a batch it has already drawn. No bit depends on either.
 
-Working set: a batch of paths holds its increments and, beside them, only
-O(BATCH x BLOCK) more. Group paths are built BLOCK steps at a time, and
-polynomials are evaluated on column views of each block (or of the terminal
-values), so no whole-grid W, C or evaluation array exists; `heat_mc_grid`
-adds its (times, paths) sample array. The chaos estimators hold more:
-`_pairings` keeps a (count, steps+1) left-point path for each open prefix of
-its walk, so a traced 512-path, 512-step `chaos_residual` batch of a rank-3
-polynomial peaks at 21.3 MB, 8.7 MB beyond its 12.6 MB of increments.
+Working set: the reducer hands each batch to its estimator in chunks of at
+most CHUNK_STEPS path-steps and joins their samples, so a worker holds one
+chunk's buffers at a time. Beside its increments a chunk holds: for the
+terminal estimators, the cumulative sum of dW (a k/n share of the
+increments), from which `_terminal` forms the terminal value in closed form
+(the discrete Levy area); for `heat_mc_grid`, O(paths x BLOCK) of group
+path, built BLOCK steps at a time and evaluated on column views of each
+block, and its (times, paths) sample array; for the chaos estimators, one
+(paths, steps+1) left-point path per open prefix of the `_pairings` walk. No
+whole-grid W, C or evaluation array exists. A traced 512-path
+`chaos_residual` batch of a rank-3 polynomial peaks at 5.5 MB at 512 and at
+1024 steps; as one chunk it peaked at 21.3 and 42.2 MB.
 
 Reproducibility contract: every path is a pure function of (seed, path_index)
 through its own Philox stream, and reductions combine fixed-size
 batches of BATCH = 512 paths in index order with Kahan compensation, so
-results are bit-identical for any worker count. Every estimator hands the
+results are bit-identical for any worker count and any chunk length. Every estimator hands the
 reducer one contiguous row of samples per estimate, so an estimate's bits do
 not depend on what is estimated beside it: a sweep column equals the lone
 estimator on the same inputs.
@@ -70,16 +74,24 @@ __all__ = [
 
 # Fixed reduction granularity; never derived from the worker count, so the
 # batch boundaries (and hence rounding) are identical however work is spread.
-# 512 paths keep one batch's increments to 12.6 MB at 512 steps and n = 3,
-# and split a 2048-path call into four batches, so a two-worker pool has
-# work for both threads.
+# 512 paths split a 2048-path call into four batches, so a two-worker pool
+# has work for both threads.
 BATCH = 512
 
-# Steps per block of the group-path builder, `_path_blocks`. A batch's group
-# path exists one block at a time, so beside its increments a batch holds
-# O(BATCH x BLOCK) more memory, whatever the number of steps. The block
-# length never changes a result; a longer block makes fewer, larger numpy
-# calls and holds more memory.
+# Path-steps per chunk. `_sample_means` hands each batch to its estimator in
+# chunks of at most CHUNK_STEPS // steps paths (at least one), so a worker
+# holds one chunk's increments and paths at a time: 1 MiB per coordinate,
+# 3.1 MB at n = 3, where a whole 512-path batch at 512 steps holds 12.6 MB.
+# Calls of up to 128 steps are one chunk per batch. The chunk length never
+# changes a result.
+CHUNK_STEPS = 2**16
+
+# Steps per block of the group-path builder, `_path_blocks`, which
+# `heat_mc_grid` and `group_path` read. A chunk's group path exists one
+# block at a time, so beside its increments it holds O(paths x BLOCK) more
+# memory, whatever the number of steps. The block length never changes a
+# result; a longer block makes fewer, larger numpy calls and holds more
+# memory.
 BLOCK = 32
 
 # A path of fewer normals than this (2 x steps x n) is short, and a batch of
@@ -279,11 +291,28 @@ def group_path(config: GroupConfig, b: BrownianPath) -> GroupPath:
 
 
 def _terminal(config: GroupConfig, inc: np.ndarray):
-    """Terminal (W, C) of the group paths of a batch of increments; only one
-    block of the path is alive at a time."""
-    for _, W, C in _path_blocks(config, inc):
-        pass
-    return W[:, -1], C[:, -1]
+    """Terminal (W, C) of the group paths of a batch of increments of shape
+    (count, steps, n), in closed form.
+
+    W(T) is the last column of one cumulative sum of dW, the bits of
+    `_path_blocks`. C(T) is the discrete Levy area,
+    C_m(T) = sum_s dC_{s,m} + (1/2) <Omega_m, A>, A = sum_s W(t_s) dW_s^T,
+    where A takes one stacked matrix product, (k, steps-1) by (steps-1, k)
+    per path, whose shapes do not depend on the count, so a path's terminal
+    value does not depend on the batch it is built in. C moves from the
+    cumulative sum of `_path_blocks` in the last bits only.
+    """
+    count, steps, _ = inc.shape
+    k = config.k
+    dW = inc[:, :, :k]
+    W = np.cumsum(dW, axis=1)
+    # left points W(t_1)..W(t_{steps-1}) against dW_1..dW_{steps-1}; W(t_0) = 0
+    A = W[:, :-1].transpose(0, 2, 1) @ dW[:, 1:]
+    A = A.reshape(count, k * k)
+    C = inc[:, :, k:].sum(axis=1)
+    for m, om in enumerate(config.omega):
+        C[:, m] += 0.5 * (A * om.ravel()).sum(axis=1)
+    return W[:, -1].copy(), C
 
 
 class _Kahan:
@@ -320,12 +349,29 @@ def _sample_means(params: MCParams, workers: int, batch_fn) -> list[MCEstimate]:
     batches (optionally in a thread pool), combine the row sums and absolute
     squares in batch order, and return one estimate per row. Each row is
     summed as one contiguous run, so its estimate does not depend on the
-    other rows. Every estimator passes its `workers` here to be checked."""
+    other rows. Every estimator passes its `workers` here to be checked.
+
+    batch_fn is called once per chunk of a batch, on at most
+    CHUNK_STEPS // steps paths (at least one), and the chunks' columns are
+    joined into the batch's samples before its sums, so only one chunk's
+    increments and paths are alive per worker; every sample is a function
+    of its own path, so the chunk length never changes a result."""
     _check_count("workers", workers)
     ranges = _batch_ranges(params.paths)
+    per = max(1, CHUNK_STEPS // params.steps)
 
     def partial(args):
-        x = batch_fn(*args)
+        start, count = args
+        x = batch_fn(start, min(per, count))
+        if per < count:
+            # joined in the chunks' memory order: numpy sums a row pairwise
+            # where the row is contiguous and one path after another where
+            # it is not, so the order must not change with the chunk length
+            order = "F" if x.strides[0] < x.strides[1] else "C"
+            first, x = x, np.empty((len(x), count), complex, order=order)
+            x[:, :per] = first
+            for s in range(per, count, per):
+                x[:, s:s + per] = batch_fn(start + s, min(per, count - s))
         return x.sum(axis=1), (np.abs(x) ** 2).sum(axis=1)
 
     if workers > 1:
@@ -545,8 +591,11 @@ def chaos_isometry_mc(
     L = len(alphas)
 
     def batch(start, count):
-        x = _pairings(alphas, _increment_batch(config, params, start, count)).T
-        return (x[:, None] * x.conj()[None, :]).reshape(L * L, count)
+        # the products path by path, handed over as an (L*L, count) view:
+        # its rows are strided, so each is summed one path after another,
+        # however many paths the chunk holds
+        x = _pairings(alphas, _increment_batch(config, params, start, count))
+        return (x[:, :, None] * x.conj()[:, None, :]).reshape(count, L * L).T
 
     ests = _sample_means(params, workers, batch)
     cov = np.array([e.mean for e in ests]).reshape(L, L)
@@ -605,7 +654,11 @@ def gaussian_moment_check(
     def batch(start, count):
         inc = _increment_batch(config, params, start, count)
         B_T = inc[:, :, : config.k].sum(axis=1)
-        val = B_T @ phi
+        # coordinate by coordinate, not B_T @ phi: BLAS rounds a row of a
+        # matrix-vector product differently with the number of rows
+        val = B_T[:, 0] * phi[0]
+        for j in range(1, config.k):
+            val += B_T[:, j] * phi[j]
         return np.stack(
             [np.exp(val), (val.real**2).astype(complex), (val.imag**2).astype(complex),
              (np.abs(val) ** 2).astype(complex)]

@@ -324,6 +324,87 @@ def test_batch_working_set_is_increments_plus_blocks():
         assert peak <= bound * increment_bytes, (name, peak / increment_bytes)
 
 
+@pytest.mark.parametrize("steps", [33, 257])
+def test_chunk_length_never_changes_a_result(monkeypatch, steps):
+    # chunks of one path, of seven (ragged against the 512-path batch) and
+    # of more than a batch (one chunk per batch) give the default's bits for
+    # every estimator, on one worker and on two
+    cfg = random_form(3, 2, 31)
+    params = mc.MCParams(T=1.0, steps=steps, paths=1100, seed=32)
+    assert len(mc._batch_ranges(params.paths)) == 3
+    f = parse_poly(cfg, "w1^2*c1 + w2*cbar1 - c1^2 + wbar1*w3^3")
+    holo = parse_poly(cfg, "w1^2*w2 + w3*c2 + 3*c1^2")
+    h = GroupElement(cfg, np.array([0.3, -0.2j, 0.1]), np.array([0.1 + 0.4j, -0.5]))
+    alphas = [taylor(holo), FockTensor(cfg, [{(): 0.5}, {(0,): 1.0}, {(1, 4): 2j, (3, 3): -1.0}])]
+
+    def results(workers):
+        ests = [
+            mc.heat_mc(cfg, f, params, workers),
+            *mc.heat_sweep(cfg, [f, holo], params, workers),
+            *mc.skeleton_sweep(cfg, [(f, h), (holo, h)], params, workers),
+            mc.lp_norm_mc(cfg, f, 3.0, params, workers),
+            mc.chaos_residual(cfg, holo, params, workers),
+        ]
+        for stride in (1, steps):
+            ests += mc.heat_mc_grid(cfg, f, params, stride=stride, workers=workers)[1]
+        got = [(e.mean, e.stderr) for e in ests]
+        iso, cov, cross = mc.chaos_isometry_mc(cfg, alphas, params, workers)
+        got += [(e.mean, e.stderr) for e in iso] + cov.tolist() + cross.tolist()
+        rows = mc.gaussian_moment_check(cfg, np.array([1.0, 0.5j, -2.0]), params, workers)
+        return got + [(r["estimate"], r["stderr"]) for r in rows]
+
+    ref = results(1)
+    for paths, workers in ((1, 1), (7, 2), (mc.BATCH + 1, 2)):
+        monkeypatch.setattr(mc, "CHUNK_STEPS", paths * steps)
+        assert results(workers) == ref, (paths, workers)
+
+
+@pytest.mark.parametrize("form", [(2, 1), (3, 2), (4, 2)])
+def test_closed_form_terminal_matches_group_paths(form):
+    # W(T) is the builder's last column bit for bit; C(T), the discrete Levy
+    # area, differs from the builder's cumulative sum only by rounding, at
+    # most a few eps per step of the summed absolute terms
+    k, d = form
+    cfg = heis() if form == (2, 1) else random_form(k, d, 33 + k)
+    eps = np.finfo(float).eps
+    for steps in (1, 2, 33, 128, 512):
+        params = mc.MCParams(T=1.7, steps=steps, paths=12, seed=34)
+        start, count = 2, 9
+        inc = mc._increment_batch(cfg, params, start, count)
+        W_T, C_T = mc._terminal(cfg, inc)
+        W, C = mc._group_paths(cfg, inc)
+        assert np.array_equal(W_T, W[:, -1]), steps
+        dW = inc[:, :, :k]
+        terms = np.abs(inc[:, :, k:]).sum(axis=1)
+        for m, om in enumerate(cfg.omega):
+            terms[:, m] += 0.5 * np.einsum("psi,ij,psj->p", np.abs(W[:, :-1]), np.abs(om), np.abs(dW))
+        assert np.all(np.abs(C_T - C[:, -1]) <= 4 * steps * eps * terms), steps
+        for j in range(count):
+            one = mc._terminal(cfg, mc._increment_batch(cfg, params, start + j, 1))
+            assert np.array_equal(one[0][0], W_T[j]) and np.array_equal(one[1][0], C_T[j]), steps
+
+
+@pytest.mark.parametrize("steps", [512, 1024])
+def test_chaos_batch_holds_one_chunk_at_a_time(steps):
+    # one 512-path chaos_residual batch of a rank-3 polynomial: each chunk's
+    # increments and pairing paths are freed before the next chunk is drawn,
+    # so the batch peaks below half of its own increments (a whole batch
+    # at a time took 1.7x)
+    cfg = heis()
+    params = mc.MCParams(T=1.0, steps=steps, paths=mc.BATCH, seed=35)
+    assert len(mc._batch_ranges(params.paths)) == 1
+    increment_bytes = params.paths * params.steps * cfg.n * 16
+    f = parse_poly(cfg, "w1^2*w2 + (0.5-1i)*w2*c1 + 2*w1*w2")
+    mc.chaos_residual(cfg, f, params, workers=1)  # warm-up outside the trace
+    tracemalloc.start()
+    try:
+        mc.chaos_residual(cfg, f, params, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * increment_bytes, peak / increment_bytes
+
+
 def test_heat_mc_hits_exact_expectation():
     cfg = heis()
     params = mc.MCParams(T=1.0, steps=128, paths=12000, seed=3)
