@@ -12,6 +12,7 @@ applied first (innermost).
 from __future__ import annotations
 
 import math
+import operator
 
 from .group import GroupConfig, _check_count, _check_group, _check_time, _is_int, _same_config
 from .poly import (
@@ -104,6 +105,15 @@ class FockTensor:
         )
 
     def add(self, other: "FockTensor") -> "FockTensor":
+        return self._merged(other, operator.add)
+
+    def sub(self, other: "FockTensor") -> "FockTensor":
+        # a - b == a + (-b) in IEEE arithmetic, so this is add(other.scale(-1.0))
+        return self._merged(other, operator.sub)
+
+    def _merged(self, other: "FockTensor", op) -> "FockTensor":
+        """self op other entry by entry, with an entry stored on one side
+        only taken against 0j, and entries at or below CLEANUP_TOL dropped."""
         _check_group(self.config, other)
         top = max(self.maxrank, other.maxrank)
         ranks = []
@@ -111,12 +121,9 @@ class FockTensor:
             merged = dict(self.ranks[n]) if n <= self.maxrank else {}
             if n <= other.maxrank:
                 for key, v in other.ranks[n].items():
-                    merged[key] = merged.get(key, 0j) + v
-            ranks.append(merged)
-        return FockTensor(self.config, ranks)
-
-    def sub(self, other: "FockTensor") -> "FockTensor":
-        return self.add(other.scale(-1.0))
+                    merged[key] = op(merged.get(key, 0j), v)
+            ranks.append({key: z for key, z in merged.items() if abs(z) > CLEANUP_TOL})
+        return FockTensor._trusted(self.config, ranks)
 
     def close_to(self, other: "FockTensor", tol: float = 1e-10) -> bool:
         """Whether other is of the same group and each entry is within tol."""
@@ -285,17 +292,28 @@ def j0_residual(alpha: FockTensor) -> float:
     tolerance) certifies annihilation up to the stored rank, nothing beyond.
 
     Enumeration is support-driven: a candidate (u, h, k, v) only matters if at
-    least one of the three entries it reads is stored.
+    least one of the three entries it reads is stored. Each condition is
+    visited once: where the bracket entries of (h, k) are the exact negatives
+    of those of (k, h), the condition at u x k x h x v is the exact negative
+    of the one at u x h x k x v, so only h < k is visited when both are read
+    from the support, and h = k only where [h, h] has an entry (a form that
+    is skew only within tolerance).
     """
     cfg = alpha.config
-    k = cfg.k
+    k, n = cfg.k, cfg.n
     omega = cfg.omega
     ranks = alpha.ranks
     # (h, kk) -> [(k + m, Omega_m[h, kk])] over the non-zero entries, m in order
     bracket: dict[tuple, list] = {}
     for m, h, kk in zip(*omega.nonzero()):
         bracket.setdefault((int(h), int(kk)), []).append((k + int(m), omega[m, h, kk]))
-    pairs = [[(int(h), int(kk)) for h, kk in zip(*omega[m].nonzero())] for m in range(cfg.d)]
+    # pairs h > kk whose condition is the exact negative of the one at (kk, h)
+    mirrored = {
+        (h, kk) for h in range(n) for kk in range(h)
+        if [(c, -z) for c, z in bracket.get((kk, h), ())] == bracket.get((h, kk), [])
+    }
+    pairs = [[(int(h), int(kk)) for h, kk in zip(*omega[m].nonzero()) if (h, kk) not in mirrored]
+             for m in range(cfg.d)]
 
     def violation(word: tuple, p: int) -> float:
         """The condition at u = word[:p], (h, kk) = word[p:p + 2], v = word[p + 2:]."""
@@ -308,13 +326,22 @@ def j0_residual(alpha: FockTensor) -> float:
 
     worst = 0.0
     # entries at rank p+q+2 seen through the h x k or k x h slot: each
-    # (word, p) once
+    # (word, p) once, and of a mirrored pair whose words are both stored
+    # only the one with h < kk
     for r in range(2, len(ranks)):
-        for word in ranks[r]:
+        stored = ranks[r]
+        for word in stored:
             for p in range(r - 1):
+                h, kk = word[p], word[p + 1]
+                if h == kk:
+                    if (h, h) not in bracket:
+                        continue
+                elif (h, kk) in mirrored and word[:p] + (kk, h) + word[p + 2:] in stored:
+                    continue
                 worst = max(worst, violation(word, p))
     # entries at rank p+q+1 seen through the bracket slot at a central index,
-    # where the word they pair with is not stored (those were checked above)
+    # where the word they pair with is not stored (those were checked above);
+    # a mirrored pair is visited through its (kk, h) entry
     seen: set[tuple] = set()
     for r in range(1, len(ranks) - 1):
         stored = ranks[r + 1]

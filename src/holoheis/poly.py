@@ -11,7 +11,8 @@ lowers it by 2, which is what makes the heat expectation a finite sum.
 
 First-order derivatives go through one kernel, `_one_sided`, which adds the
 holomorphic half D_h or the antiholomorphic half D_h-bar of a left-invariant
-derivative straight into a term dict: lid_h = D_h + D_h-bar. The heat
+derivative straight into a term dict: lid_h = D_h + D_h-bar. It runs on the
+tables `_kernel_tables` builds once per direction. The heat
 generator L = 4 sum_j D_j D_j-bar is applied in closed form (`_L_ops`,
 `_L_step`) and shares no code with that kernel, so the heat route and the
 Taylor route of the norm identity stay independent.
@@ -402,23 +403,22 @@ def parse_poly(config: GroupConfig, text: str) -> Polynomial:
     return result
 
 
-def _one_sided(terms: dict, off: int, A: list, a: list, OmA: list, out: dict) -> None:
+def _one_sided(terms: dict, off: int, flat: list, central: list, out: dict) -> None:
     """Add one half of a left-invariant derivative of `terms` into `out`.
 
-    With off = 0 this is the holomorphic half along h = (A, a),
+    flat and central are the tables `_kernel_tables` builds once per
+    direction. With off = 0 this is the holomorphic half along h = (A, a),
 
-        D_h = sum_j A_j d/dw_j + sum_m v_m(w) d/dc_m,   v(w) = a + omega(w, A)/2,
+        D_h = sum_j A_j d/dw_j + sum_m v_m(w) d/dc_m,   v(w) = a + omega(w, A)/2;
 
-    where OmA[m][i] = (Omega_m A)_i. With off = n and A, a, OmA conjugated by
-    the caller it is the antiholomorphic half D_h-bar on the conjugate blocks.
-    Neither half raises the graded degree: d/dc lowers it by 2, v by at most 1.
+    with off = n and tables of the conjugated arguments it is the
+    antiholomorphic half D_h-bar on the conjugate blocks. Neither half raises
+    the graded degree: d/dc lowers it by 2, v by at most 1.
     """
-    k, d = len(A), len(a)
-    flat = [(off + j, A[j]) for j in range(k) if A[j]]
-    central = [
-        (off + k + m, a[m], [(off + i, 0.5 * OmA[m][i]) for i in range(k) if OmA[m][i]])
-        for m in range(d)
-    ]
+    if off:
+        flat = [(off + j, scale) for j, scale in flat]
+        central = [(off + idx, const, [(off + i, s) for i, s in linear])
+                   for idx, const, linear in central]
     for key, coeff in terms.items():
         for idx, scale in flat:
             e = key[idx]
@@ -438,21 +438,41 @@ def _one_sided(terms: dict, off: int, A: list, a: list, OmA: list, out: dict) ->
                 out[new] = out.get(new, 0j) + scale * base
 
 
-def _constant_units(hol: tuple) -> list[tuple[tuple, complex]]:
+def _kernel_tables(A: list, a: list, OmA: list) -> tuple[list, list]:
+    """(flat, central): the tables `_one_sided` runs on for the direction
+    (A, a), with OmA[m][i] = (Omega_m A)_i, indexed within one block.
+
+    flat holds (j, A_j) for A_j != 0; central holds (k + m, a_m, linear), the
+    coefficient a_m + sum_i s_i w_i of d/dc_m with (i, s_i) in linear, and
+    omits components whose coefficient is 0, which add nothing.
+    """
+    k = len(A)
+    flat = [(j, A[j]) for j in range(k) if A[j]]
+    central = []
+    for m, const in enumerate(a):
+        linear = [(i, 0.5 * OmA[m][i]) for i in range(k) if OmA[m][i]]
+        if const or linear:
+            central.append((k + m, const, linear))
+    return flat, central
+
+
+def _constant_units(tables: tuple, n: int) -> list[tuple[tuple, complex]]:
     """The degree-one monomials that D_h turns into constants, each with its
-    scale: (w_j, A_j) and (c_m, a_m) for the kernel arguments hol = (A, a, OmA)."""
-    A, a, _ = hol
-    zero = (0,) * (2 * (len(A) + len(a)))
-    return [(zero[:i] + (1,) + zero[i + 1:], s) for i, s in enumerate(A + a) if s]
+    scale: (w_j, A_j) and (c_m, a_m), for the kernel tables (flat, central) of
+    D_h in a group of n = k + d coordinates."""
+    flat, central = tables
+    zero = (0,) * (2 * n)
+    scaled = flat + [(idx, const) for idx, const, _ in central if const]
+    return [(zero[:i] + (1,) + zero[i + 1:], s) for i, s in scaled]
 
 
 def _halves(h: GroupElement) -> tuple[tuple, tuple]:
-    """Kernel arguments (A, a, OmA) of D_h and of D_h-bar."""
+    """Kernel tables (flat, central) of D_h and of D_h-bar."""
     OmA = np.einsum("mij,j->mi", h.config.omega, h.w)
     # Python scalars: numpy scalar arithmetic and comparisons cost more per call.
     return (
-        (h.w.tolist(), h.c.tolist(), OmA.tolist()),
-        (h.w.conj().tolist(), h.c.conj().tolist(), OmA.conj().tolist()),
+        _kernel_tables(h.w.tolist(), h.c.tolist(), OmA.tolist()),
+        _kernel_tables(h.w.conj().tolist(), h.c.conj().tolist(), OmA.conj().tolist()),
     )
 
 
@@ -463,15 +483,15 @@ def _basis_halves(config: GroupConfig) -> list[tuple[tuple, tuple]]:
 
 
 def _basis_kernels(config: GroupConfig) -> tuple[list, list]:
-    """(hols, units): the kernel arguments of each basis direction's
-    holomorphic half, and the `_constant_units` of each, in index order."""
+    """(hols, units): the kernel tables of each basis direction's holomorphic
+    half, and the `_constant_units` of each, in index order."""
     hols = [hol for hol, _ in _basis_halves(config)]
-    return hols, [_constant_units(hol) for hol in hols]
+    return hols, [_constant_units(hol, config.n) for hol in hols]
 
 
 def _unit_constant(terms: dict, units: list, z: complex = 0j) -> complex:
-    """z plus the constant term of D_h `terms`, with units = _constant_units(hol)
-    for the kernel arguments hol of D_h, read off without a kernel step.
+    """z plus the constant term of D_h `terms`, with units = _constant_units
+    of the kernel tables of D_h, read off without a kernel step.
 
     Only a degree-one monomial gives D_h a constant: A_j times [w_j] and a_m
     times [c_m]. Along a basis direction (one unit, of scale 1) and with
@@ -595,14 +615,22 @@ def heat_expectation(F: Polynomial, T: float) -> complex:
 
     a finite sum because L lowers graded degree by 2 per application. Serves
     as the exact oracle that every Monte Carlo estimate is judged against.
+
+    Only terms of charge 0 are kept: the graded degree in (w, c) minus that
+    in (wbar, cbar). Every term of `_L_ops` lowers both by the same amount,
+    so L keeps the charge of each term, and the monomial 1 has charge 0; a
+    term of another charge never reaches a constant. A charge-0 key gets the
+    same contributions, in the same order, as in the unfiltered series.
     """
     _check_time("heat_expectation", T)
-    ops = _L_ops(F.config)
-    zero = Polynomial._zero_key(F.config)
+    cfg = F.config
+    ops = _L_ops(cfg)
+    zero = Polynomial._zero_key(cfg)
+    charges = [1] * cfg.k + [2] * cfg.d + [-1] * cfg.k + [-2] * cfg.d
+    cur = {key: z for key, z in F.terms.items() if not sum(map(operator.mul, key, charges))}
     total = 0j
-    cur = F.terms
     m = 0
-    max_m = F.graded_degree() // 2 + 1
+    max_m = _graded_degree(cfg, cur) // 2 + 1
     while cur:
         if m > max_m:
             raise RuntimeError("heat expectation failed to terminate; L did not lower degree")

@@ -23,7 +23,6 @@ from .poly import (
     _clean_terms,
     _halves,
     _one_sided,
-    _unit_constant,
 )
 from .fock import FockTensor, fock_norm_sq, taylor
 
@@ -252,28 +251,36 @@ def _check_tuples(cfg: GroupConfig, maxrank: int) -> list[tuple]:
     return sorted(set(out))
 
 
-def _last_constants(
-    state: dict[tuple, dict], units: list, comps: list, zero: tuple
-) -> dict[tuple, complex]:
-    """The constant terms of `_kappa_step(state, hol, comps)`, read off the
-    given state without building the step; units = _constant_units(hol) and
-    zero is the exponent key of the monomial 1.
+def _suffix_pairing(
+    state: dict[tuple, dict], alpha: FockTensor, monos: list[tuple], zero: tuple
+) -> tuple[dict, list]:
+    """(U, Z): the two sums route b pairs a suffix state s with, in one scan.
 
-    Entry K gets the constant `_unit_constant` reads off its own terms. A
-    component (l, const, linear) gives entry (l,) + K the constant const * [1]
-    of entry K; its linear part never yields a constant. Keys are touched in
-    the order the step touches them and constants at or below CLEANUP_TOL are
-    dropped as the step drops them, so a rank-by-rank pairing sums in the
-    order of kappa's tensor.
+    U[x] = sum_K [x]_K alpha[K] over the degree-one monomials x in monos, and
+    Z[l] = sum_K [1]_K alpha[(l,) + K] over the n basis indices l, where [.]_K
+    reads a coefficient of the entry K of the state and zero is the exponent
+    key of the monomial 1.
     """
-    out: dict[tuple, complex] = {}
+    ranks = alpha.ranks
+    top = len(ranks)
+    U: dict[tuple, complex] = {}
+    Z = [0j] * len(monos)
     for key, terms in state.items():
-        out[key] = _unit_constant(terms, units, out.get(key, 0j))
-        one = terms.get(zero, 0j)
-        for l, const, _ in comps:
-            ext = (l,) + key
-            out[ext] = out.get(ext, 0j) + const * one
-    return {key: z for key, z in out.items() if abs(z) > CLEANUP_TOL}
+        r = len(key)
+        a = ranks[r].get(key) if r < top else None
+        if a is not None:
+            for x in monos:
+                z = terms.get(x)
+                if z is not None:
+                    U[x] = U.get(x, 0j) + z * a
+        one = terms.get(zero)
+        if one is not None and r + 1 < top:
+            above = ranks[r + 1]
+            for l in range(len(Z)):
+                b = above.get((l,) + key)
+                if b is not None:
+                    Z[l] += one * b
+    return U, Z
 
 
 def _route_b(proj: Projection, alpha: FockTensor, tuples: list[tuple], kernels=None):
@@ -281,28 +288,36 @@ def _route_b(proj: Projection, alpha: FockTensor, tuples: list[tuple], kernels=N
     tuple, where alpha = taylor(f); kernels is `_basis_kernels(proj.config)`,
     built here when not given.
 
-    The kappa state of t is one step along t[0] from the state of its proper
-    suffix t[1:]. Missing suffix states are built shortest first and kept for
-    this call only. Only the constant terms of t's own state are paired, so
-    they are read off the suffix state in closed form (`_last_constants`)
-    and t's state is never built.
+    The kappa state of t is one step along t[0] from the state S of its
+    proper suffix s = t[1:]. Missing suffix states are built shortest first
+    and kept for this call only. Only the constant terms of t's own state are
+    paired, and the step leaves at key K the constant sum_x scale_x [x]_K of
+    the units of t[0], and at (l,) + K the constant const_l [1]_K of each
+    pushed component. So t's value is sum_x scale_x U_s[x] + sum_l const_l
+    Z_s[l], with (U_s, Z_s) = `_suffix_pairing` of S taken once per s, and
+    t's state is never built.
     """
     cfg = proj.config
     hols, units = kernels or _basis_kernels(cfg)
     comps = [_direction_coefficients(proj, h) for h in cfg.basis()]
     zero = Polynomial._zero_key(cfg)
+    monos = [zero[:i] + (1,) + zero[i + 1:] for i in range(cfg.n)]
     suffixes: dict[tuple, dict] = {(): {(): {zero: 1 + 0j}}}
+    pairings: dict[tuple, tuple] = {}
     for t in tuples:
         for j in range(len(t) - 1, 0, -1):
             s = t[j:]
             if s not in suffixes:
                 suffixes[s] = _kappa_step(suffixes[s[1:]], hols[s[0]], comps[s[0]])
-        consts = _last_constants(suffixes[t[1:]], units[t[0]], comps[t[0]], zero)
-        # rank by rank in state order, as the pairing of kappa's tensor runs
+        s = t[1:]
+        if s not in pairings:
+            pairings[s] = _suffix_pairing(suffixes[s], alpha, monos, zero)
+        U, Z = pairings[s]
         value = 0j
-        for key in sorted(consts, key=len):
-            if key:
-                value += consts[key] * alpha.entry(key)
+        for x, scale in units[t[0]]:
+            value += scale * U.get(x, 0j)
+        for l, const, _ in comps[t[0]]:
+            value += const * Z[l]
         yield t, value
 
 
@@ -340,12 +355,13 @@ def pullback_taylor(
     pairs kappa tensors against taylor(f) without ever forming the composite.
     Disagreement beyond 1e-10 on the checked tuple set raises, since it means
     the two derivative calculi have diverged. Route b builds the kappa state
-    of each proper suffix of a checked tuple once per call. It never builds
-    a checked tuple's own state: the constant of a step along (A, a) at key K
-    is sum_j A_j [w_j] + sum_m a_m [c_m] of the suffix entry K, plus const_l
+    of each proper suffix of a checked tuple once per call, and scans each
+    once for the two sums its tuples pair with. It never builds a checked
+    tuple's own state: the constant of a step along (A, a) at key K is
+    sum_j A_j [w_j] + sum_m a_m [c_m] of the suffix entry K, plus const_l
     times its constant [1] at key (l,) + K for each pushed component
-    (l, const, linear). This pairs exactly as the tensor `kappa` would build
-    from scratch, taking every step in full.
+    (l, const, linear). This pairs as the tensor `kappa` would build from
+    scratch, taking every step in full, up to the grouping of the sums.
     """
     _check_group(proj.config, f)
     return _checked_pullback(proj, f, taylor(f), maxrank)

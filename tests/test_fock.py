@@ -326,6 +326,55 @@ def test_j0_residual_equals_the_candidate_loop():
         assert j0_residual(alpha) == j0_by_candidates(alpha)
 
 
+def test_j0_residual_equals_the_candidate_loop_on_a_near_skew_form():
+    # a form skew only within SKEW_TOL: the conditions at (h, k) and (k, h)
+    # are no longer exact negatives, and [h, h] has an entry, so j0_residual
+    # must visit each of them rather than read one off the other
+    rng = np.random.default_rng(25)
+    raw = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    near = raw - np.transpose(raw, (0, 2, 1))
+    near[0, 0, 1] += 1e-13
+    near[1, 2, 1] -= 7e-14j
+    near[0, 2, 2] = 8e-14
+    form = GroupConfig(3, 2, near)
+    assert form.omega[0, 0, 1] != -form.omega[0, 1, 0] and form.omega[0, 2, 2] != 0
+    # the worst condition is at (0, 1) or (1, 0), which differ by about 1e-13
+    tensors = [FockTensor(form, [{}, {(3,): 1.0, (4,): 0.5j}, {(0, 1): 10.0, (1, 0): -10.0}])]
+    tensors += [taylor(random_holo(form, rng, degree=5)) for _ in range(4)]
+    for _ in range(8):
+        ranks = [{(): complex(rng.normal())}]
+        for r in range(1, 5):
+            words = rng.integers(0, form.n, size=(int(rng.integers(4, 16)), r))
+            ranks.append({tuple(int(i) for i in w): complex(rng.normal(), rng.normal())
+                          for w in words})
+        for word in [w for w in ranks[2] if w[0] != w[1]]:
+            ranks[2][word[::-1]] = complex(rng.normal(), rng.normal())
+        tensors.append(FockTensor(form, ranks))
+    for alpha in tensors:
+        assert j0_residual(alpha) == j0_by_candidates(alpha)
+
+
+def test_sub_equals_the_negated_add():
+    # one pass, equal to add(scale(-1.0)) entry by entry and in key order;
+    # entries that cancel to zero or to below CLEANUP_TOL are dropped
+    cfg = heis()
+    a = FockTensor(cfg, [{(): 1 + 2j}, {(0,): 0.5, (1,): -1.5j, (2,): 3.0},
+                         {(0, 1): 2.0, (1, 0): 1e-3}])
+    b = FockTensor(cfg, [{(): 1 + 2j}, {(2,): 1.0, (0,): 0.5 + 4e-15},
+                         {(0, 1): 2.0, (2, 2): -1j}, {(0, 0, 1): 4.0}])
+    rng = np.random.default_rng(26)
+    pairs = [(a, b), (b, a), (a, a)]
+    pairs += [(taylor(random_holo(cfg, rng)), taylor(random_holo(cfg, rng))) for _ in range(4)]
+    f = random_holo(cfg, rng, degree=6)
+    pairs.append((taylor(f), taylor(f + 1e-15 * random_holo(cfg, rng))))
+    for x, y in pairs:
+        got, ref = x.sub(y), x.add(y.scale(-1.0))
+        assert [list(r.items()) for r in got.ranks] == [list(r.items()) for r in ref.ranks]
+    diff = a.sub(b)
+    assert diff.ranks[0] == {} and (0,) not in diff.ranks[1] and (0, 1) not in diff.ranks[2]
+    assert diff.maxrank == 3
+
+
 def test_grading_pullback_is_isometry():
     cfg = heis()
     rng = np.random.default_rng(4)

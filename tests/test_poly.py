@@ -1,5 +1,7 @@
 """Polynomial ring, left-invariant derivatives, L, and heat expectations."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -252,6 +254,43 @@ def test_heat_expectation_does_not_use_the_derivative_kernel(monkeypatch):
     monkeypatch.setattr(poly, "_one_sided", forbidden)
     assert [heat_expectation(F, 1.0), heat_expectation(G, 0.6), apply_L(G).terms] == expected
     assert expected[0] == pytest.approx(1.25, abs=1e-13)
+
+
+def test_heat_expectation_steps_only_charge_zero_terms(monkeypatch):
+    # L keeps each term's charge (graded degree in w, c minus that in wbar,
+    # cbar), so a term of non-zero charge never reaches a constant and is
+    # never stepped; the value is that of the unfiltered series
+    rng = np.random.default_rng(12)
+    cfg = random_config(rng, 3, 2)
+    f = parse_poly(cfg, "(1-2i) + w1 - 0.5*c1*w2 + 2*w3^2*c2 + c1^2")
+    unbalanced = parse_poly(cfg, "w1*cbar1 - (2+1i)*w2*wbar1*wbar3 + c2*c1 + 3*cbar2 + w1*w2")
+    cases = [(f.abs_sq(), 0.7), (f.abs_sq() + unbalanced, 1.3), (unbalanced, 2.0)]
+    weights = [1] * cfg.k + [2] * cfg.d + [-1] * cfg.k + [-2] * cfg.d
+
+    def charge(key):
+        return sum(e * w for e, w in zip(key, weights))
+
+    def unfiltered(F, T):
+        ops, zero = poly._L_ops(cfg), Polynomial._zero_key(cfg)
+        total, cur, m = 0j, F.terms, 0
+        while cur:
+            total += (T / 4.0) ** m / math.factorial(m) * cur.get(zero, 0j)
+            cur = poly._clean_terms(poly._L_step(cur, ops))
+            m += 1
+        return total
+
+    expected = [unfiltered(F, T) for F, T in cases]
+    assert all(any(charge(key) for key in F.terms) for F, _ in cases)
+    stepped = []
+    step = poly._L_step
+
+    def spy(terms, ops):
+        stepped.extend(terms)
+        return step(terms, ops)
+
+    monkeypatch.setattr(poly, "_L_step", spy)
+    assert [heat_expectation(F, T) for F, T in cases] == expected
+    assert stepped and not any(charge(key) for key in stepped)
 
 
 def test_heat_expectation_reference_values():
